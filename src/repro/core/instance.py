@@ -61,6 +61,85 @@ def state_fingerprint(meta_rows, tier_rows) -> str:
     return h.hexdigest()
 
 
+class MetaTable(dict):
+    """The metadata table (key -> :class:`ObjectMeta`) with an exact
+    reverse alias index beside it.
+
+    :meth:`aliases_of` answers "which rows have ``alias_of == key``" in
+    table (insertion) order without scanning the table, so handing a
+    canonical's bytes to its heir costs O(aliases), not O(objects).
+    Item assignment, ``pop``, ``del`` and ``clear`` keep the index
+    exact; a row whose ``alias_of`` changes in place must go through
+    :meth:`set_alias`.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: canonical key -> keys of the rows aliased to it
+        self._aliases: Dict[str, Set[str]] = {}
+        #: key -> insertion number; replacing a row keeps its number,
+        #: deleting and re-creating the key gives it a new, larger one —
+        #: exactly how dict iteration order behaves.
+        self._seq: Dict[str, int] = {}
+        self._next_seq = 0
+
+    def _link(self, key: str, canonical: Optional[str]) -> None:
+        if canonical is not None:
+            self._aliases.setdefault(canonical, set()).add(key)
+
+    def _unlink(self, key: str, canonical: Optional[str]) -> None:
+        if canonical is not None:
+            keys = self._aliases[canonical]
+            keys.discard(key)
+            if not keys:
+                del self._aliases[canonical]
+
+    def __setitem__(self, key: str, meta: ObjectMeta) -> None:
+        old = dict.get(self, key)
+        if old is None:
+            self._seq[key] = self._next_seq
+            self._next_seq += 1
+        else:
+            self._unlink(key, old.alias_of)
+        dict.__setitem__(self, key, meta)
+        self._link(key, meta.alias_of)
+
+    def pop(self, key: str, *default):
+        if key not in self:
+            return dict.pop(self, key, *default)
+        meta = dict.pop(self, key)
+        del self._seq[key]
+        self._unlink(key, meta.alias_of)
+        return meta
+
+    def __delitem__(self, key: str) -> None:
+        self.pop(key)
+
+    def clear(self) -> None:
+        dict.clear(self)
+        self._aliases.clear()
+        self._seq.clear()
+
+    def _unsupported(self, *args, **kwargs):
+        raise TypeError("MetaTable is written by item assignment, pop, del "
+                        "and clear only")
+
+    popitem = setdefault = update = __ior__ = _unsupported
+
+    def set_alias(self, meta: ObjectMeta, canonical: Optional[str]) -> None:
+        """Point row ``meta`` at ``canonical`` (``None``: not an alias)."""
+        self._unlink(meta.key, meta.alias_of)
+        meta.alias_of = canonical
+        self._link(meta.key, canonical)
+
+    def aliases_of(self, key: str) -> List[ObjectMeta]:
+        """Rows whose ``alias_of`` is ``key``, in table order."""
+        keys = self._aliases.get(key)
+        if not keys:
+            return []
+        return [self[k] for k in sorted(keys, key=self._seq.__getitem__)]
+
+
 class TieraInstance:
     """One configured multi-tier storage instance."""
 
@@ -111,7 +190,7 @@ class TieraInstance:
         if eval_overhead is not None:
             control_kwargs["eval_overhead"] = eval_overhead
         self.control = ControlLayer(self, self.policy, clock, **control_kwargs)
-        self._meta: Dict[str, ObjectMeta] = {}
+        self._meta = MetaTable()
         self._dedup: Dict[str, str] = {}  # checksum -> canonical key
         #: tier -> tier overflow map: when making room in a tier, evicted
         #: LRU objects move to its chain successor (and so on down).
@@ -231,7 +310,7 @@ class TieraInstance:
         canonical = self.meta(canonical_key)
         if meta.alias_of == canonical_key:
             return
-        meta.alias_of = canonical_key
+        self._meta.set_alias(meta, canonical_key)
         meta.checksum = canonical.checksum
         canonical.refcount += 1
         self.persist_meta(meta)
@@ -567,15 +646,15 @@ class TieraInstance:
         if canonical is not None:
             canonical.refcount = max(0, canonical.refcount - 1)
             self.persist_meta(canonical)
-        meta.alias_of = None
+        self._meta.set_alias(meta, None)
         meta.locations = set()
         self.persist_meta(meta)
 
     def _handoff_to_heir(self, meta: ObjectMeta, ctx: RequestContext) -> bool:
         """If ``meta`` is canonical content with aliases, rename the
-        physical bytes to the first alias (the heir) and repoint the
-        rest.  Returns whether a handoff happened."""
-        aliases = [m for m in self._meta.values() if m.alias_of == meta.key]
+        physical bytes to the alias earliest in table order (the heir)
+        and repoint the rest.  Returns whether a handoff happened."""
+        aliases = self._meta.aliases_of(meta.key)
         if not aliases:
             return False
         heir = aliases[0]
@@ -585,13 +664,13 @@ class TieraInstance:
                 blob = tier.get(meta.key, ctx)
                 tier.put(heir.key, blob, ctx)
                 tier.delete(meta.key, ctx)
-        heir.alias_of = None
+        self._meta.set_alias(heir, None)
         heir.locations = set(meta.locations)
         heir.size = meta.size
         heir.checksum = meta.checksum
         heir.refcount = len(aliases) - 1
         for other in aliases[1:]:
-            other.alias_of = heir.key
+            self._meta.set_alias(other, heir.key)
             self.persist_meta(other)
         if meta.checksum:
             self._dedup[meta.checksum] = heir.key

@@ -70,10 +70,18 @@ class TieraRpcServer:
 
     def stop(self) -> None:
         self._running = False
+        # close() from another thread does not wake a thread blocked in
+        # accept() on Linux; shutdown() does.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:
             pass
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=2.0)
         self._pool.shutdown(wait=False)
 
     def __enter__(self) -> "TieraRpcServer":

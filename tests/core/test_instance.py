@@ -1,5 +1,7 @@
 """TieraInstance: data path, eviction chains, dedup, reconfiguration, cost."""
 
+import time
+
 import pytest
 
 from repro.core.errors import (
@@ -7,12 +9,14 @@ from repro.core.errors import (
     NoSuchObjectError,
     TierUnavailableError,
 )
-from repro.core.instance import DROP
-from repro.core.policy import Rule
+from repro.core.durability import reopen_instance, simulate_crash
+from repro.core.instance import DROP, MetaTable
+from repro.core.objects import ObjectMeta, content_checksum
+from repro.core.policy import Policy, Rule
 from repro.core.events import ActionEvent
 from repro.core.responses import Store
 from repro.core.selectors import InsertObject
-from repro.kvstore import LogStore
+from repro.kvstore import LogStore, MemoryStore
 from repro.simcloud.resources import RequestContext
 from tests.core.conftest import build_instance
 
@@ -146,6 +150,126 @@ class TestDedup:
         assert two_tier.dedup_lookup("sum1") == "b"
         # The heir must still be readable — from a's physical bytes.
         assert two_tier.read_raw("b", ctx) == b"data"
+
+    # The heir is the alias earliest in table order: a key's position is
+    # fixed when it is created (or re-created after a delete), not when
+    # it is linked.
+
+    @staticmethod
+    def _family(inst, ctx, keys, links, tier="tier1"):
+        """Create ``a`` and then ``keys`` (in that order), holding
+        ``a``'s bytes in ``tier``, and alias ``links`` (in that order)
+        to ``a``."""
+        inst.create_object("a", 4)
+        inst.write_to_tier("a", b"data", tier, ctx)
+        inst.dedup_register(content_checksum(b"data"), "a")
+        for key in keys:
+            inst.create_object(key, 4)
+        for key in links:
+            inst.alias_object(key, "a")
+
+    @staticmethod
+    def _assert_heir(inst, ctx, via, heir, rest):
+        aliases = [m.key for m in inst.iter_meta() if m.alias_of == "a"]
+        assert aliases == [heir, *rest]
+        assert inst.meta("a").refcount == 1 + len(rest)
+        if via == "delete":
+            inst.delete_object("a", ctx)
+        else:
+            inst.prepare_overwrite("a", ctx)
+            assert inst.meta("a").refcount == 0
+        assert inst.meta(heir).alias_of is None
+        assert inst.meta(heir).refcount == len(rest)
+        assert [inst.meta(k).alias_of for k in rest] == [heir] * len(rest)
+        assert [inst.resolve_alias(k) for k in rest] == [heir] * len(rest)
+        assert inst.dedup_lookup(content_checksum(b"data")) == heir
+        assert inst.read_raw(heir, ctx) == b"data"
+
+    @pytest.mark.parametrize("via", ["delete", "overwrite"])
+    def test_heir_is_earliest_in_table_not_link_order(self, two_tier, ctx, via):
+        self._family(two_tier, ctx, keys=["b", "c", "d"], links=["d", "c", "b"])
+        self._assert_heir(two_tier, ctx, via, heir="b", rest=["c", "d"])
+
+    @pytest.mark.parametrize("via", ["delete", "overwrite"])
+    def test_recreated_alias_key_moves_to_the_back(self, two_tier, ctx, via):
+        self._family(two_tier, ctx, keys=["b", "c", "d"], links=["b", "c", "d"])
+        two_tier.delete_object("b", ctx)
+        two_tier.create_object("b", 4)
+        two_tier.alias_object("b", "a")
+        self._assert_heir(two_tier, ctx, via, heir="c", rest=["d", "b"])
+
+    def test_heir_rule_survives_reopen(self, registry, ctx):
+        store = MemoryStore()
+        inst = build_instance(
+            registry,
+            [("tier1", "Memcached", 64 * 1024), ("tier2", "EBS", 10 ** 7)],
+            metadata_store=store,
+        )
+        inst.enable_durability()
+        self._family(inst, ctx, keys=["c", "b"], links=["b", "c"], tier="tier2")
+        simulate_crash(inst)
+        successor, _ = reopen_instance(
+            name=inst.name,
+            tiers=list(inst.tiers.ordered()),
+            policy=Policy(),
+            clock=registry.cluster.clock,
+            metadata_store=store,
+        )
+        self._assert_heir(successor, ctx, "delete", heir="c", rest=["b"])
+
+    def test_heir_rule_after_backup_restore(self, registry, ctx, tmp_path):
+        inst = build_instance(
+            registry,
+            [("tier1", "Memcached", 64 * 1024), ("tier2", "EBS", 10 ** 7)],
+        )
+        inst.enable_durability()
+        inst.enable_backups(str(tmp_path))
+        self._family(inst, ctx, keys=["c", "b"], links=["b", "c"], tier="tier2")
+        inst.backup.snapshot(kind="full")
+        inst.backup.restore()
+        # A full restore rebuilds the table in key order, so "b" now
+        # precedes "c".
+        self._assert_heir(inst, ctx, "delete", heir="b", rest=["c"])
+
+    def test_meta_table_refuses_writes_that_bypass_the_alias_index(self):
+        table = MetaTable()
+        table["k"] = ObjectMeta(key="k", alias_of="a")
+        for write in (
+            lambda: table.update(j=ObjectMeta(key="j", alias_of="a")),
+            lambda: table.setdefault("j", ObjectMeta(key="j", alias_of="a")),
+            table.popitem,
+        ):
+            with pytest.raises(TypeError):
+                write()
+        assert [m.key for m in table.aliases_of("a")] == ["k"]
+
+    def test_handoff_cost_does_not_grow_with_the_table(self, registry, ctx):
+        # Overwriting or deleting a canonical costs O(its aliases): the
+        # old whole-table heir scan made 50k objects ~50x dearer than 1k.
+        def cost(unrelated):
+            inst = build_instance(
+                registry,
+                [("tier1", "Memcached", 64 * 1024), ("tier2", "EBS", 10 ** 7)],
+            )
+            for i in range(unrelated):
+                inst.create_object(f"other{i}", 4)
+            best = float("inf")
+            for round_ in range(7):
+                a, b, c = (f"{name}{round_}" for name in "abc")
+                inst.create_object(a, 4)
+                inst.write_to_tier(a, b"data", "tier2", ctx)
+                for alias in (b, c):
+                    inst.create_object(alias, 4)
+                    inst.alias_object(alias, a)
+                start = time.process_time()
+                inst.prepare_overwrite(a, ctx)  # hands off to b
+                inst.delete_object(b, ctx)  # hands off to c
+                best = min(best, time.process_time() - start)
+                assert inst.meta(c).alias_of is None
+            return best
+
+        small, large = cost(1_000), cost(50_000)
+        assert large / small <= 3, (small, large)
 
     def test_dedup_lookup_forgets_dead_keys(self, two_tier, ctx):
         two_tier.create_object("a", 4)

@@ -109,10 +109,18 @@ class TestPolicyEngineInvariants:
         server = TieraServer(instance)
         live = run_ops(server, cluster, ops)
         check_invariants(instance, server, live)
-        # Extra: refcounts equal the number of aliases pointing in.
-        for meta in instance.iter_meta():
-            if meta.alias_of is None and meta.refcount:
-                aliases = [
-                    m for m in instance.iter_meta() if m.alias_of == meta.key
-                ]
-                assert len(aliases) == meta.refcount
+        # Extra: every object's refcount is the number of keys aliased to
+        # it, and the reverse alias index equals one recomputed from
+        # ``alias_of``, in table order.
+        table = instance._meta
+        pointing_in = {}
+        for meta in table.values():
+            if meta.alias_of is not None:
+                pointing_in.setdefault(meta.alias_of, []).append(meta.key)
+        for meta in table.values():
+            assert meta.refcount == len(pointing_in.get(meta.key, ())), meta.key
+        index = {
+            canonical: [m.key for m in table.aliases_of(canonical)]
+            for canonical in table._aliases
+        }
+        assert index == pointing_in

@@ -1,6 +1,7 @@
 """RPC server/client over real sockets (WallClock instances)."""
 
 import threading
+import time
 
 import pytest
 
@@ -48,6 +49,19 @@ def live_server():
 def client(live_server):
     with TieraClient(live_server.host, live_server.port) as conn:
         yield conn
+
+
+class TestLifecycle:
+    def test_stop_ends_the_accept_thread(self, live_server, client):
+        # One served request, then a pause: the accept thread is back
+        # blocked in accept() when stop() runs.
+        assert client.ping()
+        time.sleep(0.2)
+        accept = live_server._accept_thread
+        assert accept.is_alive()
+        live_server.stop()
+        accept.join(timeout=2.0)
+        assert not accept.is_alive()
 
 
 class TestRpcRoundtrip:
