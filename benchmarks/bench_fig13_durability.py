@@ -106,7 +106,7 @@ def _kill_restart(builder, seed):
     keys = [f"rec{i:04d}" for i in range(KILL_OBJECTS)]
     for key in keys:
         ctx = RequestContext(cluster.clock)
-        server.put(key, _kill_payload(key), ctx=ctx)
+        server.put_object(key, _kill_payload(key), ctx=ctx).raise_for_error()
         cluster.clock.run_until(ctx.time)
     cluster.clock.run_until(cluster.clock.now() + KILL_ADVANCE)
     simulate_crash(instance)
@@ -122,7 +122,9 @@ def _kill_restart(builder, seed):
     survived = sum(
         1 for key in keys
         if reopened.contains(key)
-        and reopened.get(key, ctx=RequestContext(cluster.clock)) == _kill_payload(key)
+        and reopened.get_object(
+            key, ctx=RequestContext(cluster.clock)
+        ).raise_for_error().value == _kill_payload(key)
     )
     successor.control.shutdown()
     successor.obs.metrics.remove_collector(successor._collect_gauges)

@@ -77,11 +77,13 @@ def run_figure16():
     def op(client, ctx):
         if state["next_key"] > 0 and rng.random() < READ_FRACTION:
             key = f"obj{rng.randrange(state['next_key'])}"
-            server.get(key, ctx=ctx)
+            server.get_object(key, ctx=ctx).raise_for_error()
             return "read"
         key = f"obj{state['next_key']}"
         state["next_key"] += 1
-        server.put(key, record_payload(state["next_key"], 0, OBJECT_BYTES), ctx=ctx)
+        server.put_object(
+            key, record_payload(state["next_key"], 0, OBJECT_BYTES), ctx=ctx
+        ).raise_for_error()
         return "write"
 
     result = run_closed_loop(

@@ -75,10 +75,11 @@ def run_stream(enable_heat: bool):
     server = TieraServer(instance)
     tracker = None
     if enable_heat:
-        tracker = server.enable_heat(
-            top_k=TOP_K, hot_min=HOT_MIN, max_objects=MAX_OBJECTS,
+        server.configure(
+            "heat", top_k=TOP_K, hot_min=HOT_MIN, max_objects=MAX_OBJECTS,
             sample_interval=5.0,
-        )
+        ).raise_for_error()
+        tracker = server.obs.heat
     keys = ZipfianKeys(RECORDS, theta=THETA, seed=SEED + 1)
     mix = random.Random(SEED + 2)
     ctx = RequestContext(cluster.clock)

@@ -43,10 +43,13 @@ def main() -> None:
         print(f"Tiera server listening on {rpc.host}:{rpc.port}")
         with TieraClient(rpc.host, rpc.port) as client:
             print(f"ping → {client.ping()}")
-            latency = client.put("remote-object", b"bytes over the wire",
-                                 tags=["demo"])
-            print(f"PUT acknowledged (simulated latency {latency * 1000:.2f} ms)")
-            print(f"GET → {client.get('remote-object')!r}")
+            put = client.put_object(
+                "remote-object", b"bytes over the wire", tags=["demo"]
+            ).raise_for_error()
+            print(f"PUT acknowledged (simulated latency "
+                  f"{put.latency * 1000:.2f} ms)")
+            got = client.get_object("remote-object").raise_for_error()
+            print(f"GET → {got.value!r}")
             print(f"stat → {client.stat('remote-object')}")
             print("tiers:")
             for tier in client.tiers():

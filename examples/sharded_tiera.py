@@ -44,7 +44,9 @@ def main() -> None:
     )
 
     for i in range(300):
-        sharded.put(f"object-{i}", f"payload {i}".encode())
+        sharded.put_object(
+            f"object-{i}", f"payload {i}".encode()
+        ).raise_for_error()
     print("300 objects over two shards:", sharded.object_counts())
 
     moved = sharded.add_shard("shard-c", make_shard(registry, "shard-c"))
@@ -58,7 +60,9 @@ def main() -> None:
 
     # Every object still readable after both topology changes.
     assert all(
-        sharded.get(f"object-{i}") == f"payload {i}".encode() for i in range(300)
+        sharded.get_object(f"object-{i}").raise_for_error().value
+        == f"payload {i}".encode()
+        for i in range(300)
     )
     print("all 300 objects verified readable after rebalancing")
 

@@ -169,9 +169,9 @@ def run_chaos(
     load_ctx = RequestContext(cluster.clock)
     versions: Dict[int, int] = {}
     for key in range(records):
-        server.put(
+        server.put_object(
             f"user{key:06d}", record_payload(key, 0, record_size), ctx=load_ctx
-        )
+        ).raise_for_error()
     cluster.clock.run_until(load_ctx.time)
 
     cluster.chaos(scenario, at=scenario_at)
@@ -186,7 +186,9 @@ def run_chaos(
         started = ctx.time
         try:
             if op == "get":
-                data = server.get(name, ctx=ctx)
+                data = server.get_object(
+                    name, ctx=ctx
+                ).raise_for_error().value
                 expected = record_payload(
                     key, versions.get(key, 0), record_size
                 )
@@ -195,9 +197,9 @@ def run_chaos(
             else:
                 version = versions.get(key, 0) + 1
                 versions[key] = version
-                server.put(
+                server.put_object(
                     name, record_payload(key, version, record_size), ctx=ctx
-                )
+                ).raise_for_error()
         except (TieraError, SimCloudError) as exc:
             stats.record(op, ctx.time, False, ctx.time - started, exc)
             return op

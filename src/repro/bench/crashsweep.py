@@ -177,19 +177,21 @@ def _workload(
     def put(key: str, version: int) -> None:
         attempted.append(("put", key, version))
         ctx = RequestContext(clock)
-        server.put(key, _payload(seed, key, version), ctx=ctx)
+        server.put_object(
+            key, _payload(seed, key, version), ctx=ctx
+        ).raise_for_error()
         pump(ctx)
         acked.append(("put", key, version))
 
     def get(key: str) -> None:
         ctx = RequestContext(clock)
-        server.get(key, ctx=ctx)
+        server.get_object(key, ctx=ctx).raise_for_error()
         pump(ctx)
 
     def delete(key: str) -> None:
         attempted.append(("delete", key, 0))
         ctx = RequestContext(clock)
-        server.delete(key, ctx=ctx)
+        server.delete_object(key, ctx=ctx).raise_for_error()
         pump(ctx)
         acked.append(("delete", key, 0))
 

@@ -156,7 +156,7 @@ def _scenario_heat_telemetry(profiler: Profiler):
         registry = TierRegistry(cluster)
         instance = memcached_ebs_instance(registry, mem="100M", ebs="100M")
         server = TieraServer(instance)
-        server.enable_heat(top_k=32, hot_min=4)
+        server.configure("heat", top_k=32, hot_min=4).raise_for_error()
     workload = YcsbWorkload(
         server, 500, read_proportion=0.5, update_proportion=0.5,
         distribution="zipfian", theta=0.99, seed=3,

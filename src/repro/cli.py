@@ -27,8 +27,10 @@ Commands mirror how the paper's prototype is operated:
 * ``heat --port P [--enable] [--format text|json]`` — the workload
   heat tracker's snapshot over RPC: hot-key bars from the Space-Saving
   sketch, per-tier occupancy gauges, and the occupancy timeline.
-  ``--enable`` turns the tracker on first (``--top-k``, ``--hot-min``,
-  ``--window``, ``--sample-interval``, ``--max-objects`` configure it).
+  ``--enable`` turns the tracker on first through ``configure("heat")``
+  (``--top-k``, ``--hot-min``, ``--window``, ``--sample-interval``,
+  ``--max-objects`` configure it); a refused option prints
+  ``error [BAD_CONFIG]: …`` and exits 1.
 * ``placement <status|plan|run> --port P [--enable] [--objective O]
   [--interval N] [--format text|json]`` — the adaptive placement
   engine over RPC: engine status, the scored promote/demote/pre-warm
@@ -496,6 +498,16 @@ def cmd_backup(options) -> int:
     return 0
 
 
+def _configure(client, feature: str, config: Dict[str, object]) -> bool:
+    """``configure`` a feature over RPC; on a refusal print the
+    envelope's ``error [CODE]: message`` and return False."""
+    envelope = client.configure(feature, **config)
+    if not envelope.ok:
+        print(f"error [{envelope.error}]: {envelope.error_message}",
+              file=sys.stderr)
+    return envelope.ok
+
+
 def cmd_heat(options) -> int:
     from repro.obs.heat import render_report
 
@@ -517,9 +529,9 @@ def cmd_heat(options) -> int:
         print("configuration flags need --enable", file=sys.stderr)
         return 1
     with client:
-        summary = client.heat(
-            enable=options.enable, limit=options.limit, **config
-        )
+        if options.enable and not _configure(client, "heat", config):
+            return 1
+        summary = client.heat(limit=options.limit)
     if options.format == "json":
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:
@@ -540,12 +552,8 @@ def cmd_placement(options) -> int:
         print("configuration flags need --enable", file=sys.stderr)
         return 1
     with client:
-        if options.enable:
-            envelope = client.configure("placement", **config)
-            if not envelope.ok:
-                print(f"error [{envelope.error}]: {envelope.error_message}",
-                      file=sys.stderr)
-                return 1
+        if options.enable and not _configure(client, "placement", config):
+            return 1
         result = client.placement(action=options.placement_action)
     if options.format == "json":
         print(json.dumps(result, indent=2, sort_keys=True))

@@ -19,22 +19,23 @@ one contract they all implement now:
   over-limit batch is refused up front with ``BACKPRESSURE`` before any
   item runs.
 
-The legacy positional verbs (``put``/``get``/``delete``) survive one
-release as deprecation shims over these methods; see docs/API.md.
+These are the only data-plane verbs: the earlier positional
+``put``/``get``/``delete`` were removed (docs/API.md maps old to new).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-try:  # Protocol is 3.8+; runtime_checkable keeps isinstance() working
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - very old pythons
-    Protocol = object
-
-    def runtime_checkable(cls):
-        return cls
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    runtime_checkable,
+)
 
 from repro.core.errors import PARTIAL_FAILURE
 
@@ -109,9 +110,8 @@ class OpResult:
     """Structured outcome of one storage operation.
 
     Failure is data here, not control flow: a missing key yields an
-    ``OpResult`` with ``ok=False`` and ``error="NO_SUCH_OBJECT"``.  The
-    legacy shims call :meth:`raise_for_error` to recover the old raising
-    behaviour.
+    ``OpResult`` with ``ok=False`` and ``error="NO_SUCH_OBJECT"``.
+    Callers that want an exception call :meth:`raise_for_error`.
     """
 
     op: str
@@ -126,7 +126,7 @@ class OpResult:
     #: stable error code (see repro.core.errors), None on success.
     error: Optional[str] = None
     error_message: str = ""
-    #: exception class name, kept so RPC shims can re-raise faithfully.
+    #: exception class name, kept so the RPC client can re-raise faithfully.
     error_type: str = ""
     #: payload bytes for a successful get; None otherwise.
     value: Optional[bytes] = None
@@ -362,10 +362,8 @@ class ManagementResult:
 class ManagementAPI(Protocol):
     """The admin verb pair every Tiera façade implements.
 
-    The legacy ``enable_*`` verbs grew ad hoc — present on some façades
-    with divergent signatures and return shapes.  This protocol is the
-    replacement: one keyword-only ``configure`` to turn a feature on or
-    retune it, one ``feature_status`` to inspect it, both returning
+    One keyword-only ``configure`` turns a feature on or retunes it,
+    one ``feature_status`` inspects it; both return
     :class:`ManagementResult` envelopes with stable error codes.
     """
 

@@ -11,7 +11,6 @@ object.
 
 from __future__ import annotations
 
-import warnings
 import zlib
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -38,8 +37,8 @@ class TieraServer:
     Single-object verbs return :class:`~repro.core.api.OpResult`
     envelopes; batch verbs run their items across ``parallelism``
     concurrent lanes in virtual time and return a
-    :class:`~repro.core.api.BatchResult`.  The legacy positional verbs
-    (``put``/``get``/``delete``) remain as deprecation shims.
+    :class:`~repro.core.api.BatchResult`.  Heat and placement are
+    switched on through the management verbs (:meth:`configure`).
     """
 
     def __init__(
@@ -402,69 +401,6 @@ class TieraServer:
             parallelism=parallelism, ctx=ctx,
         )
 
-    # -- legacy verbs (deprecated shims over the envelope API) ---------------
-
-    @staticmethod
-    def _deprecated(old: str, new: str) -> None:
-        warnings.warn(
-            f"TieraServer.{old} is deprecated; use {new} (see docs/API.md)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def put(
-        self,
-        key: str,
-        data: bytes,
-        tags: Iterable[str] = (),
-        ctx: Optional[RequestContext] = None,
-        trace: bool = False,
-    ) -> RequestContext:
-        """Deprecated: use :meth:`put_object` (envelope) instead.
-
-        Preserves the original contract — returns the request context,
-        whose ``elapsed`` is the client-observed latency, and raises on
-        failure.
-        """
-        self._deprecated("put", "put_object / put_many")
-        ctx = self._ctx(ctx)
-        self.put_object(
-            key, data, tags=list(tags) if tags else None, ctx=ctx,
-            trace=trace,
-        ).raise_for_error()
-        return ctx
-
-    def get(
-        self,
-        key: str,
-        ctx: Optional[RequestContext] = None,
-        prefer: Optional[str] = None,
-        trace: bool = False,
-    ) -> bytes:
-        """Deprecated: use :meth:`get_object` (envelope) instead."""
-        self._deprecated("get", "get_object / get_many")
-        result = self.get_object(key, prefer=prefer, ctx=ctx, trace=trace)
-        result.raise_for_error()
-        return result.value
-
-    def get_with_context(
-        self, key: str, ctx: Optional[RequestContext] = None
-    ) -> "tuple[bytes, RequestContext]":
-        ctx = self._ctx(ctx)
-        return self.get(key, ctx=ctx), ctx
-
-    def delete(
-        self,
-        key: str,
-        ctx: Optional[RequestContext] = None,
-        trace: bool = False,
-    ) -> RequestContext:
-        """Deprecated: use :meth:`delete_object` (envelope) instead."""
-        self._deprecated("delete", "delete_object / delete_many")
-        ctx = self._ctx(ctx)
-        self.delete_object(key, ctx=ctx, trace=trace).raise_for_error()
-        return ctx
-
     # -- introspection ---------------------------------------------------------
 
     def health(self) -> Dict[str, object]:
@@ -631,15 +567,6 @@ class TieraServer:
         )
 
     # -- workload heat -----------------------------------------------------
-
-    def enable_heat(self, **config):
-        """Deprecated: use ``configure("heat", ...)`` instead.
-
-        Preserves the original shape — returns the instance's
-        :class:`~repro.obs.heat.HeatTracker` ack (idempotent).
-        """
-        self._deprecated("enable_heat", 'configure("heat", ...)')
-        return self.instance.enable_heat(**config)
 
     def heat_summary(self, limit: Optional[int] = None) -> Dict[str, object]:
         """The heat tracker's snapshot (``{"enabled": False}`` until on)."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import warnings
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import api
@@ -315,63 +314,6 @@ class ShardedTieraServer:
             parallelism=parallelism, ctx=ctx,
         )
 
-    # -- legacy verbs (deprecated; same shapes as TieraServer's shims) -------
-
-    def put(
-        self,
-        key: str,
-        data: bytes,
-        tags: Optional[Iterable[str]] = None,
-        ctx: Optional[RequestContext] = None,
-        trace: bool = False,
-    ) -> RequestContext:
-        """Deprecated: use :meth:`put_object`.  Signature and return
-        shape now match :meth:`TieraServer.put` (this façade used to
-        take ``tags=()`` and lacked ``trace``)."""
-        if self.cluster is not None:
-            ctx = ctx if ctx is not None else RequestContext(self.clock)
-            self.cluster.put_object(
-                key, data, tags=list(tags) if tags else None, ctx=ctx,
-                trace=trace,
-            ).raise_for_error()
-            return ctx
-        return self._route(key, api.PUT).put(
-            key, data, tags=tuple(tags) if tags else (), ctx=ctx, trace=trace
-        )
-
-    def get(
-        self,
-        key: str,
-        ctx: Optional[RequestContext] = None,
-        prefer: Optional[str] = None,
-        trace: bool = False,
-    ) -> bytes:
-        """Deprecated: use :meth:`get_object`."""
-        if self.cluster is not None:
-            result = self.cluster.get_object(
-                key, prefer=prefer, ctx=ctx, trace=trace
-            )
-            result.raise_for_error()
-            return result.value
-        return self._route(key, api.GET).get(
-            key, ctx=ctx, prefer=prefer, trace=trace
-        )
-
-    def delete(
-        self,
-        key: str,
-        ctx: Optional[RequestContext] = None,
-        trace: bool = False,
-    ) -> RequestContext:
-        """Deprecated: use :meth:`delete_object`."""
-        if self.cluster is not None:
-            ctx = ctx if ctx is not None else RequestContext(self.clock)
-            self.cluster.delete_object(
-                key, ctx=ctx, trace=trace
-            ).raise_for_error()
-            return ctx
-        return self._route(key, api.DELETE).delete(key, ctx=ctx, trace=trace)
-
     def contains(self, key: str) -> bool:
         if self.cluster is not None:
             return self.cluster.contains(key)
@@ -502,25 +444,6 @@ class ShardedTieraServer:
         return self._per_shard("placement_run")
 
     # -- workload heat -------------------------------------------------------
-
-    def enable_heat(self, **config):
-        """Deprecated: use ``configure("heat", ...)`` instead.
-
-        Returns the per-shard tracker acks in shard-name order (the old
-        signature returned ``None`` — callers can only gain).
-        """
-        warnings.warn(
-            "ShardedTieraServer.enable_heat is deprecated; use "
-            'configure("heat", ...) (see docs/API.md)',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        acks = {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for name in sorted(self.shards):
-                acks[name] = self.shards[name].enable_heat(**config)
-        return acks
 
     def heat_summary(self, limit: Optional[int] = None) -> Dict[str, object]:
         """Cluster-wide heat view: per-shard trackers aggregated.

@@ -60,7 +60,8 @@ class TieraFileSystem:
             if key.startswith(_INODE_PREFIX):
                 path = key[len(_INODE_PREFIX):]
                 try:
-                    doc = json.loads(self.server.get(key).decode("utf-8"))
+                    raw = self.server.get_object(key).raise_for_error().value
+                    doc = json.loads(raw.decode("utf-8"))
                 except (NoSuchObjectError, ValueError):
                     continue
                 self._sizes[path] = int(doc["size"])
@@ -71,7 +72,9 @@ class TieraFileSystem:
         if self._persisted_sizes.get(path) == size:
             return  # unchanged since last persist; skip the round trip
         doc = json.dumps({"size": size}).encode("utf-8")
-        self.server.put(_INODE_PREFIX + path, doc, tags=("fs-inode",), ctx=ctx)
+        self.server.put_object(
+            _INODE_PREFIX + path, doc, tags=["fs-inode"], ctx=ctx
+        ).raise_for_error()
         self._persisted_sizes[path] = size
 
     # -- namespace operations ----------------------------------------------
@@ -95,9 +98,11 @@ class TieraFileSystem:
         for index in range(blocks):
             key = _block_key(path, index)
             if self.server.contains(key):
-                self.server.delete(key, ctx=ctx)
+                self.server.delete_object(key, ctx=ctx).raise_for_error()
         if self.server.contains(_INODE_PREFIX + path):
-            self.server.delete(_INODE_PREFIX + path, ctx=ctx)
+            self.server.delete_object(
+                _INODE_PREFIX + path, ctx=ctx
+            ).raise_for_error()
         if self.page_cache is not None:
             self.page_cache.invalidate(path)
         del self._sizes[path]
@@ -113,13 +118,19 @@ class TieraFileSystem:
         for index in range(blocks):
             old_key = _block_key(old, index)
             if self.server.contains(old_key):
-                data = self.server.get(old_key, ctx=ctx)
-                self.server.put(_block_key(new, index), data, ctx=ctx)
-                self.server.delete(old_key, ctx=ctx)
+                data = self.server.get_object(
+                    old_key, ctx=ctx
+                ).raise_for_error().value
+                self.server.put_object(
+                    _block_key(new, index), data, ctx=ctx
+                ).raise_for_error()
+                self.server.delete_object(old_key, ctx=ctx).raise_for_error()
         self._sizes[new] = self._sizes.pop(old)
         self._persisted_sizes.pop(old, None)
         if self.server.contains(_INODE_PREFIX + old):
-            self.server.delete(_INODE_PREFIX + old, ctx=ctx)
+            self.server.delete_object(
+                _INODE_PREFIX + old, ctx=ctx
+            ).raise_for_error()
         self._persist_inode(new, ctx)
         if self.page_cache is not None:
             self.page_cache.invalidate(old)
@@ -157,7 +168,7 @@ class TieraFileSystem:
         key = _block_key(path, index)
         if not self.server.contains(key):
             return b"\x00" * self.block_size  # sparse region
-        data = self.server.get(key, ctx=ctx)
+        data = self.server.get_object(key, ctx=ctx).raise_for_error().value
         if self.page_cache is not None:
             self.page_cache.put(path, index, data)
         return data
@@ -165,7 +176,9 @@ class TieraFileSystem:
     def _write_block(
         self, path: str, index: int, data: bytes, ctx: RequestContext
     ) -> None:
-        self.server.put(_block_key(path, index), data, ctx=ctx)
+        self.server.put_object(
+            _block_key(path, index), data, ctx=ctx
+        ).raise_for_error()
         if self.page_cache is not None:
             self.page_cache.put(path, index, data)
 
@@ -286,7 +299,7 @@ class TieraFile:
             self._dirty.pop(index, None)
             key = _block_key(self.path, index)
             if self.fs.server.contains(key):
-                self.fs.server.delete(key, ctx=ctx)
+                self.fs.server.delete_object(key, ctx=ctx).raise_for_error()
             if self.fs.page_cache is not None:
                 self.fs.page_cache.invalidate(self.path, index)
         self.fs._sizes[self.path] = size

@@ -81,12 +81,14 @@ class StorageMonitor:
         for _ in range(self.retries):
             ctx = RequestContext(self.server.clock)
             try:
-                self.server.put(CANARY_KEY, payload, tags=("monitor",), ctx=ctx)
+                self.server.put_object(
+                    CANARY_KEY, payload, tags=["monitor"], ctx=ctx
+                ).raise_for_error()
             except (TieraError, SimCloudError) as exc:
                 error = f"{type(exc).__name__}: {exc}"
                 continue
             try:
-                self.server.delete(CANARY_KEY)
+                self.server.delete_object(CANARY_KEY).raise_for_error()
             except (TieraError, SimCloudError):
                 pass  # cleanup is best-effort; the write proved health
             self._record("healthy", None)

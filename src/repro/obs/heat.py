@@ -262,22 +262,32 @@ class HeatTracker:
         sample_interval: Optional[float] = None,
         hot_min: Optional[int] = None,
     ) -> "HeatTracker":
-        """Turn the tracker on (idempotent; reconfigures in place)."""
+        """Turn the tracker on (idempotent; reconfigures in place).
+
+        Every option is validated before any is applied, so a refused
+        call leaves the tracker exactly as it was."""
         if windows is not None:
-            self.windows = tuple(float(w) for w in windows)
-            if not self.windows or any(w <= 0 for w in self.windows):
+            windows = tuple(float(w) for w in windows)
+            if not windows or any(w <= 0 for w in windows):
                 raise ValueError("decay windows must be positive")
-        if top_k is not None:
-            self.top_k = int(top_k)
-            self._sketch = SpaceSavingSketch(self.top_k)
+        sketch = SpaceSavingSketch(int(top_k)) if top_k is not None else None
+        if sample_interval is not None and sample_interval <= 0:
+            raise ValueError("sample_interval must be positive")
         if max_objects is not None:
-            self.max_objects = int(max_objects)
+            max_objects = int(max_objects)
+        if hot_min is not None:
+            hot_min = int(hot_min)
+        if windows is not None:
+            self.windows = windows
+        if sketch is not None:
+            self.top_k = sketch.capacity
+            self._sketch = sketch
+        if max_objects is not None:
+            self.max_objects = max_objects
         if sample_interval is not None:
-            if sample_interval <= 0:
-                raise ValueError("sample_interval must be positive")
             self.sample_interval = float(sample_interval)
         if hot_min is not None:
-            self.hot_min = int(hot_min)
+            self.hot_min = hot_min
         self.enabled = True
         self._install_metrics()
         return self

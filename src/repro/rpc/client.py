@@ -2,11 +2,10 @@
 
 Implements the same :class:`~repro.core.api.StorageAPI` surface as the
 in-process façades: envelope verbs (``put_object``/``get_object``/
-``delete_object``), batch verbs riding the ``batch`` wire method, and
-the legacy positional verbs as deprecation shims.  Captured failures
-carry an :class:`~repro.rpc.protocol.RpcError` (with the server's
-stable ``code``) as their exception, so ``raise_for_error`` behaves
-like the old raising client.
+``delete_object``) and batch verbs riding the ``batch`` wire method.
+Captured failures carry an :class:`~repro.rpc.protocol.RpcError` (with
+the server's stable ``code``) as their exception, so
+``raise_for_error`` raises it.
 """
 
 from __future__ import annotations
@@ -153,21 +152,6 @@ class TieraClient:
             api.batch_from_verbs(api.DELETE, keys), parallelism=parallelism
         )
 
-    # -- legacy verbs (deprecated shims over the envelope API) ------------
-
-    def put(self, key: str, data: bytes, tags: Optional[List[str]] = None) -> float:
-        """Deprecated: use :meth:`put_object`.  Returns the server-side
-        latency in seconds, raising :class:`RpcError` on failure."""
-        return self.put_object(key, data, tags=tags).raise_for_error().latency
-
-    def get(self, key: str) -> bytes:
-        """Deprecated: use :meth:`get_object`."""
-        return self.get_object(key).raise_for_error().value
-
-    def delete(self, key: str) -> float:
-        """Deprecated: use :meth:`delete_object`."""
-        return self.delete_object(key).raise_for_error().latency
-
     def contains(self, key: str) -> bool:
         return self._call("contains", key=key)
 
@@ -233,18 +217,12 @@ class TieraClient:
             params["objectives"] = objectives
         return self._call("slo", **params)
 
-    def heat(self, enable: bool = False, limit: Optional[int] = None,
-             **config) -> Dict[str, Any]:
-        """The heat tracker's snapshot; optionally enable it first.
+    def heat(self, limit: Optional[int] = None) -> Dict[str, Any]:
+        """The heat tracker's snapshot; ``limit`` caps the hot list.
 
-        ``enable=True`` turns the tracker on (configuration keywords —
-        ``windows=``, ``top_k=``, ``max_objects=``, ``sample_interval=``,
-        ``hot_min=`` — pass through); ``limit`` caps the hot list.
-        Returns ``{"enabled": False}`` until enabled."""
+        Returns ``{"enabled": False}`` until the tracker is switched on
+        with ``configure("heat", ...)``."""
         params: Dict[str, Any] = {}
-        if enable:
-            params["enable"] = True
-            params.update(config)
         if limit is not None:
             params["limit"] = limit
         return self._call("heat", **params)

@@ -1,6 +1,6 @@
 """Wire protocol: 4-byte big-endian length prefix + UTF-8 JSON body.
 
-Requests look like ``{"id": 7, "method": "put", "params": {...}}``;
+Requests look like ``{"id": 7, "method": "put_object", "params": {...}}``;
 responses are ``{"id": 7, "result": ...}`` or ``{"id": 7, "error":
 {"code": "...", "type": "...", "message": "..."}}``.  Object payloads
 are base64 strings (JSON cannot carry raw bytes).

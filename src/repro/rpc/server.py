@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import socket
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional
 
@@ -175,24 +174,6 @@ class TieraRpcServer:
             "code": batch.code,
         }
 
-    # -- legacy single-op wire methods (kept for protocol compatibility) ----
-
-    def _method_put(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        result = self.tiera.put_object(
-            params["key"],
-            decode_bytes(params["data"]),
-            tags=list(params.get("tags") or []) or None,
-        ).raise_for_error()
-        return {"latency": result.latency}
-
-    def _method_get(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        result = self.tiera.get_object(params["key"]).raise_for_error()
-        return {"data": encode_bytes(result.value)}
-
-    def _method_delete(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        result = self.tiera.delete_object(params["key"]).raise_for_error()
-        return {"latency": result.latency}
-
     def _method_contains(self, params: Dict[str, Any]) -> bool:
         return self.tiera.contains(params["key"])
 
@@ -308,29 +289,13 @@ class TieraRpcServer:
         return out
 
     def _method_heat(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Inspect (and optionally enable/configure) heat telemetry.
+        """Inspect heat telemetry; ``limit`` caps the hot list.
 
-        ``enable=true`` turns the tracker on first; configuration
-        keywords (``windows=``, ``top_k=``, ``max_objects=``,
-        ``sample_interval=``, ``hot_min=``) pass through to
-        :meth:`~repro.obs.heat.HeatTracker.enable`.  Works against both
-        a single instance and a shard router (per-shard aggregation);
-        answers ``{"enabled": False}`` until enabled.
+        Read-only: the tracker is switched on and tuned through
+        ``configure("heat", ...)``.  Works against both a single
+        instance and a shard router (per-shard aggregation); answers
+        ``{"enabled": False}`` until enabled.
         """
-        if params.get("enable"):
-            config = {
-                name: params[name]
-                for name in (
-                    "windows", "top_k", "max_objects",
-                    "sample_interval", "hot_min",
-                )
-                if params.get(name) is not None
-            }
-            with warnings.catch_warnings():
-                # The shim's own warning is for in-process callers; the
-                # wire verb is not itself deprecated.
-                warnings.simplefilter("ignore", DeprecationWarning)
-                self.tiera.enable_heat(**config)
         limit = params.get("limit")
         return self.tiera.heat_summary(
             limit=int(limit) if limit is not None else None

@@ -28,50 +28,53 @@ class TraceRecorder:
     """Wraps an op function, logging each operation it performs.
 
     The wrapped workload must be one of this repo's key-value op
-    sources (it calls ``server.put``/``server.get``); recording hooks
-    the server, so any workload composition is captured faithfully.
+    sources (it calls ``server.put_object``/``server.get_object``/
+    ``server.delete_object``); recording hooks the server, so any
+    workload composition is captured faithfully.
     """
 
     def __init__(self, server: TieraServer):
         self.server = server
         self.events: List[dict] = []
-        self._orig_put = server.put
-        self._orig_get = server.get
-        self._orig_delete = server.delete
+        self._orig_put = server.put_object
+        self._orig_get = server.get_object
+        self._orig_delete = server.delete_object
 
     def __enter__(self) -> "TraceRecorder":
         server = self.server
 
-        def put(key, data, tags=(), ctx=None):
-            result = self._orig_put(key, data, tags=tags, ctx=ctx)
+        def request_ctx(ctx):
+            return ctx if ctx is not None else RequestContext(server.clock)
+
+        def put_object(key, data, *, ctx=None, **options):
+            ctx = request_ctx(ctx)
+            result = self._orig_put(key, data, ctx=ctx, **options)
             self.events.append(
-                {"op": "put", "key": key, "size": len(data),
-                 "at": result.start}
+                {"op": "put", "key": key, "size": len(data), "at": ctx.start}
             )
             return result
 
-        def get(key, ctx=None, prefer=None):
-            data = self._orig_get(key, ctx=ctx, prefer=prefer)
-            at = ctx.start if ctx is not None else server.clock.now()
-            self.events.append({"op": "get", "key": key, "at": at})
-            return data
-
-        def delete(key, ctx=None):
-            result = self._orig_delete(key, ctx=ctx)
-            self.events.append(
-                {"op": "delete", "key": key, "at": result.start}
-            )
+        def get_object(key, *, ctx=None, **options):
+            ctx = request_ctx(ctx)
+            result = self._orig_get(key, ctx=ctx, **options)
+            self.events.append({"op": "get", "key": key, "at": ctx.start})
             return result
 
-        server.put = put
-        server.get = get
-        server.delete = delete
+        def delete_object(key, *, ctx=None, **options):
+            ctx = request_ctx(ctx)
+            result = self._orig_delete(key, ctx=ctx, **options)
+            self.events.append({"op": "delete", "key": key, "at": ctx.start})
+            return result
+
+        server.put_object = put_object
+        server.get_object = get_object
+        server.delete_object = delete_object
         return self
 
     def __exit__(self, *exc) -> None:
         # The hooks were installed as instance attributes shadowing the
         # class methods; removing them restores the originals exactly.
-        for name in ("put", "get", "delete"):
+        for name in ("put_object", "get_object", "delete_object"):
             try:
                 delattr(self.server, name)
             except AttributeError:

@@ -169,37 +169,6 @@ class TestBackpressureParity:
         assert codes == ["BACKPRESSURE"] * 3
 
 
-class TestLegacyShimParity:
-    """The deprecated verbs keep their original shapes on every façade."""
-
-    def test_put_returns_context_in_process(self, direct, sharded):
-        for facade in (direct, sharded):
-            ctx = facade.put("k", b"v")
-            assert ctx.elapsed > 0
-
-    def test_client_put_returns_latency_float(self, rpc_client):
-        latency = rpc_client.put("k", b"v")
-        assert isinstance(latency, float) and latency > 0
-        assert rpc_client.get("k") == b"v"
-
-    def test_get_missing_raises_like_before(self, direct, sharded, rpc_client):
-        for facade, exc_type in (
-            (direct, NoSuchObjectError),
-            (sharded, NoSuchObjectError),
-            (rpc_client, RpcError),
-        ):
-            with pytest.raises(exc_type):
-                facade.get("ghost")
-
-    def test_shims_warn(self, direct):
-        with pytest.warns(DeprecationWarning):
-            direct.put("k", b"v")
-        with pytest.warns(DeprecationWarning):
-            direct.get("k")
-        with pytest.warns(DeprecationWarning):
-            direct.delete("k")
-
-
 class TestHeatParity:
     """The heat snapshot is part of the API surface: the same op script
     must yield the identical summary from every façade (the single-shard
@@ -217,9 +186,8 @@ class TestHeatParity:
         facade.delete_object("beta")
 
     def test_summaries_identical_across_facades(self, direct, sharded, rpc_client):
-        direct.enable_heat(**self.HEAT_CONFIG)
-        sharded.enable_heat(**self.HEAT_CONFIG)
-        rpc_client.heat(enable=True, **self.HEAT_CONFIG)
+        for facade in (direct, sharded, rpc_client):
+            facade.configure("heat", **self.HEAT_CONFIG).raise_for_error()
         summaries = []
         for facade in (direct, sharded, rpc_client):
             self._drive(facade)
@@ -238,8 +206,8 @@ class TestHeatParity:
         assert rpc_client.heat() == {"enabled": False}
 
     def test_limit_truncates_hot_list_everywhere(self, direct, rpc_client):
-        direct.enable_heat(**self.HEAT_CONFIG)
-        rpc_client.heat(enable=True, **self.HEAT_CONFIG)
+        for facade in (direct, rpc_client):
+            facade.configure("heat", **self.HEAT_CONFIG).raise_for_error()
         for facade in (direct, rpc_client):
             for key in ("a", "b", "c"):
                 for _ in range(3):
@@ -332,39 +300,23 @@ class TestManagementParity:
         assert docs == [{"enabled": False}] * 3
 
 
-class TestDeprecatedEnableHeat:
-    """The legacy verb warns everywhere and the sharded router finally
-    acks (it used to return ``None`` while the direct façade returned
-    the tracker — callers holding the router got nothing back)."""
+class TestRemovedSurface:
+    """One verb per job: the positional ``put``/``get``/``delete`` shims
+    and ``enable_heat`` are gone from every façade (docs/API.md maps
+    each to its envelope or ``configure`` replacement)."""
 
-    def test_direct_shim_warns_and_returns_tracker(self, direct):
-        with pytest.warns(DeprecationWarning, match="enable_heat"):
-            tracker = direct.enable_heat(top_k=4, hot_min=2)
-        assert tracker.enabled and tracker.top_k == 4
+    REMOVED = ("put", "get", "delete", "get_with_context", "enable_heat")
 
-    def test_sharded_shim_warns_and_acks_per_shard(self, sharded):
-        with pytest.warns(DeprecationWarning, match="enable_heat"):
-            acks = sharded.enable_heat(top_k=4, hot_min=2)
-        assert set(acks) == {"s1"}
-        assert acks["s1"].enabled and acks["s1"].top_k == 4
-
-    def test_configure_does_not_warn(self, direct, sharded, recwarn):
-        direct.configure("heat", top_k=4)
-        sharded.configure("heat", top_k=4)
-        assert not [
-            w for w in recwarn.list
-            if issubclass(w.category, DeprecationWarning)
-        ]
+    def test_no_facade_carries_a_removed_verb(self, direct, sharded, rpc_client):
+        for facade in (direct, sharded, rpc_client):
+            present = [name for name in self.REMOVED if hasattr(facade, name)]
+            assert present == [], type(facade).__name__
 
 
 class TestShardRouterTagPropagation:
-    """Regression: the router's put used to take ``tags=()`` while
-    TieraServer.put took an iterable default — tags silently diverged
-    depending on which façade a caller held."""
-
-    def test_legacy_put_propagates_tags(self, sharded):
-        sharded.put("k", b"v", tags=("hot", "pinned"))
-        assert sharded.stat("k").tags == {"hot", "pinned"}
+    """Regression: tags given to the router reach the owning shard
+    unchanged (its put once took a different tags default than
+    TieraServer's, so tags diverged by façade)."""
 
     def test_envelope_put_propagates_tags(self, sharded):
         sharded.put_object("k2", b"v", tags=["cold"])
@@ -376,10 +328,3 @@ class TestShardRouterTagPropagation:
         )
         assert batch.ok
         assert sharded.stat("k3").tags == {"bulk", "hot"}
-
-    def test_signatures_match_across_facades(self, direct, sharded):
-        """Same call shape works identically on both in-process façades."""
-        for facade in (direct, sharded):
-            ctx = facade.put("sig", b"v", ("a",))
-            assert ctx.elapsed > 0
-            assert facade.stat("sig").tags == {"a"}

@@ -110,8 +110,8 @@ def live_rpc():
     rpc = TieraRpcServer(TieraServer(instance), port=0).start()
     with TieraClient(rpc.host, rpc.port) as conn:
         for i in range(8):
-            conn.put(f"k{i}", b"v" * 64)
-            conn.get(f"k{i}")
+            conn.put_object(f"k{i}", b"v" * 64).raise_for_error()
+            conn.get_object(f"k{i}").raise_for_error()
     yield rpc
     rpc.stop()
     instance.shutdown()
@@ -271,7 +271,7 @@ class TestHeatSummary:
         from repro.rpc import TieraClient
 
         with TieraClient(live_rpc.host, live_rpc.port) as conn:
-            conn.heat(enable=True, hot_min=2)
+            conn.configure("heat", hot_min=2).raise_for_error()
             for _ in range(4):
                 conn.get_object("k0")
         out = self._summary(live_rpc, capsys)
@@ -296,6 +296,14 @@ class TestHeatCommand:
             "heat", "--port", str(live_rpc.port), "--top-k", "8",
         ]) == 1
         assert "--enable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["heat", "--enable", "--top-k", "-1"],
+        ["placement", "--enable", "--interval", "-1"],
+    ])
+    def test_refused_config_is_a_clean_error(self, live_rpc, capsys, argv):
+        assert main(argv + ["--port", str(live_rpc.port)]) == 1
+        assert "error [BAD_CONFIG]" in capsys.readouterr().err
 
     def test_enable_and_render_text_report(self, live_rpc, capsys):
         from repro.rpc import TieraClient

@@ -148,11 +148,11 @@ class TestReplication:
             assert len(rt.cluster.owners(f"b{i}")) == 3
 
     def test_legacy_shims_route_through_cluster(self, rt):
-        rt.put("legacy", b"bytes")
-        assert rt.get("legacy") == b"bytes"
+        rt.put_object("legacy", b"bytes").raise_for_error()
+        assert rt.get_object("legacy").raise_for_error().value == b"bytes"
         assert rt.contains("legacy")
         assert rt.stat("legacy").checksum
-        rt.delete("legacy")
+        rt.delete_object("legacy").raise_for_error()
         assert not rt.contains("legacy")
 
 

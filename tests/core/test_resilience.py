@@ -149,7 +149,7 @@ def build_stack(seed=2014, resilient=True):
 
 def put(server, cluster, key, data):
     ctx = RequestContext(cluster.clock)
-    server.put(key, data, ctx=ctx)
+    server.put_object(key, data, ctx=ctx).raise_for_error()
     cluster.clock.run_until(ctx.time)
     return ctx
 
@@ -249,7 +249,8 @@ class TestVerifiedReads:
         tier1.service._data["k"] = b"x" * 1024  # silent bit rot
 
         ctx = RequestContext(cluster.clock)
-        assert server.get("k", ctx=ctx) == payload  # served from tier2
+        # served from tier2
+        assert server.get_object("k", ctx=ctx).raise_for_error().value == payload
         res = instance.resilience
         assert res.corruption_count == 1
         assert res.read_repair_count == 1
@@ -260,7 +261,8 @@ class TestVerifiedReads:
         payload = b"p" * 1024
         put(server, cluster, "k", payload)
         instance.tiers.get("tier1").service._data["k"] = b"x" * 1024
-        assert server.get("k") == b"x" * 1024  # nothing checks
+        # nothing checks
+        assert server.get_object("k").raise_for_error().value == b"x" * 1024
 
 
 class TestFailureSurface:
@@ -270,7 +272,7 @@ class TestFailureSurface:
         instance.tiers.get("tier1").service.fail()
         instance.tiers.get("tier2").service.fail()
         with pytest.raises(TierUnavailableError) as info:
-            server.get("k")
+            server.get_object("k").raise_for_error()
         error = info.value
         assert [name for name, _ in error.causes] == ["tier1", "tier2"]
         assert isinstance(error.__cause__, ServiceUnavailableError)
@@ -321,7 +323,7 @@ class TestZeroFaultInvariance:
                 elapsed.append(ctx.elapsed)
             for i in range(40):
                 ctx = RequestContext(cluster.clock)
-                server.get(f"k{i}", ctx=ctx)
+                server.get_object(f"k{i}", ctx=ctx).raise_for_error()
                 cluster.clock.run_until(ctx.time)
                 elapsed.append(ctx.elapsed)
             return elapsed, instance.state_digest()

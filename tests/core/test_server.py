@@ -13,31 +13,31 @@ from tests.core.conftest import build_instance
 
 class TestPutGet:
     def test_roundtrip(self, server):
-        server.put("k", b"hello")
-        assert server.get("k") == b"hello"
+        server.put_object("k", b"hello").raise_for_error()
+        assert server.get_object("k").raise_for_error().value == b"hello"
 
     def test_put_returns_latency_context(self, server):
-        ctx = server.put("k", b"hello")
-        assert ctx.elapsed > 0
+        result = server.put_object("k", b"hello").raise_for_error()
+        assert result.latency > 0
 
     def test_default_placement_is_first_tier(self, server):
-        server.put("k", b"hello")
+        server.put_object("k", b"hello").raise_for_error()
         assert server.stat("k").locations == {"tier1"}
 
     def test_overwrite_bumps_version(self, server):
-        server.put("k", b"v1")
-        server.put("k", b"v2")
-        assert server.get("k") == b"v2"
+        server.put_object("k", b"v1").raise_for_error()
+        server.put_object("k", b"v2").raise_for_error()
+        assert server.get_object("k").raise_for_error().value == b"v2"
         assert server.stat("k").version == 1
 
     def test_get_missing_raises(self, server):
         with pytest.raises(NoSuchObjectError):
-            server.get("ghost")
+            server.get_object("ghost").raise_for_error()
 
     def test_get_updates_access_stats(self, server):
-        server.put("k", b"v")
-        server.get("k")
-        server.get("k")
+        server.put_object("k", b"v").raise_for_error()
+        server.get_object("k").raise_for_error()
+        server.get_object("k").raise_for_error()
         assert server.stat("k").access_count == 2
 
     def test_policy_placement_overrides_default(self, registry):
@@ -53,15 +53,15 @@ class TestPutGet:
             ],
         )
         server = TieraServer(inst)
-        server.put("k", b"v")
+        server.put_object("k", b"v").raise_for_error()
         assert server.stat("k").locations == {"tier2"}
 
     def test_delete(self, server):
-        server.put("k", b"v")
-        server.delete("k")
+        server.put_object("k", b"v").raise_for_error()
+        server.delete_object("k").raise_for_error()
         assert not server.contains("k")
         with pytest.raises(NoSuchObjectError):
-            server.get("k")
+            server.get_object("k").raise_for_error()
 
     def test_encrypted_compressed_object_not_inflated(self, registry):
         """GET must not try to unzip ciphertext (regression)."""
@@ -84,8 +84,9 @@ class TestPutGet:
         )
         server = TieraServer(inst)
         payload = b"sensitive " * 300
-        server.put("k", payload)
-        sealed = server.get("k")  # ciphertext as stored, no unzip
+        server.put_object("k", payload).raise_for_error()
+        # ciphertext as stored, no unzip
+        sealed = server.get_object("k").raise_for_error().value
         assert sealed != payload
         from repro.core.conditions import EvalScope
         from repro.core.selectors import NamedObjects
@@ -94,7 +95,8 @@ class TestPutGet:
         Decrypt(NamedObjects("k"), key="k").execute(
             EvalScope(instance=inst), RequestContext(inst.clock)
         )
-        assert server.get("k") == payload  # decrypt, then auto-inflate
+        # decrypt, then auto-inflate
+        assert server.get_object("k").raise_for_error().value == payload
 
     def test_compressed_objects_inflate_on_get(self, registry):
         inst = build_instance(
@@ -110,18 +112,18 @@ class TestPutGet:
         )
         server = TieraServer(inst)
         payload = b"squeeze me " * 500
-        server.put("k", payload)
+        server.put_object("k", payload).raise_for_error()
         assert inst.tiers.get("tier1").used < len(payload)
-        assert server.get("k") == payload
+        assert server.get_object("k").raise_for_error().value == payload
 
 
 class TestTags:
     def test_tags_at_put_time(self, server):
-        server.put("k", b"v", tags=("tmp", "page"))
+        server.put_object("k", b"v", tags=["tmp", "page"]).raise_for_error()
         assert server.stat("k").tags == {"tmp", "page"}
 
     def test_add_remove_tag(self, server):
-        server.put("k", b"v")
+        server.put_object("k", b"v").raise_for_error()
         server.add_tag("k", "hot")
         assert server.keys_with_tag("hot") == ["k"]
         server.remove_tag("k", "hot")
@@ -146,14 +148,14 @@ class TestTags:
             ],
         )
         server = TieraServer(inst)
-        server.put("temp-file", b"x", tags=("tmp",))
-        server.put("real-file", b"x")
+        server.put_object("temp-file", b"x", tags=["tmp"]).raise_for_error()
+        server.put_object("real-file", b"x").raise_for_error()
         assert server.stat("temp-file").locations == {"scratch"}
         assert server.stat("real-file").locations == {"tier1"}
 
     def test_keys_listing(self, server):
-        server.put("b", b"1")
-        server.put("a", b"2")
+        server.put_object("b", b"1").raise_for_error()
+        server.put_object("a", b"2").raise_for_error()
         assert server.keys() == ["a", "b"]
 
 
@@ -174,5 +176,5 @@ class TestSetAttrThroughPolicy:
             ],
         )
         server = TieraServer(inst)
-        server.put("k", b"v")
+        server.put_object("k", b"v").raise_for_error()
         assert server.stat("k").dirty is True

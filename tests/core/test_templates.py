@@ -16,7 +16,7 @@ class TestLowLatencyInstance:
     def test_figure3_write_back(self, registry, cluster):
         inst = templates.low_latency_instance(registry, t=30.0)
         server = TieraServer(inst)
-        server.put("k", b"v")
+        server.put_object("k", b"v").raise_for_error()
         meta = inst.meta("k")
         assert meta.locations == {"tier1"}
         assert meta.dirty is True
@@ -27,7 +27,7 @@ class TestLowLatencyInstance:
     def test_clean_objects_not_recopied(self, registry, cluster):
         inst = templates.low_latency_instance(registry, t=10.0)
         server = TieraServer(inst)
-        server.put("k", b"v")
+        server.put_object("k", b"v").raise_for_error()
         cluster.clock.advance(11)
         puts = inst.tiers.get("tier2").service.op_counts.get("put", 0)
         cluster.clock.advance(20)  # two more timer firings, nothing dirty
@@ -36,7 +36,7 @@ class TestLowLatencyInstance:
     def test_smaller_t_means_quicker_durability(self, registry, cluster):
         inst = templates.low_latency_instance(registry, t=5.0)
         server = TieraServer(inst)
-        server.put("k", b"v")
+        server.put_object("k", b"v").raise_for_error()
         cluster.clock.advance(6)
         assert "tier2" in inst.meta("k").locations
 
@@ -45,7 +45,7 @@ class TestPersistentInstance:
     def test_figure4_write_through(self, registry):
         inst = templates.persistent_instance(registry)
         server = TieraServer(inst)
-        ctx = server.put("k", b"v")
+        server.put_object("k", b"v").raise_for_error()
         # Synchronously in both tiers before the PUT returns.
         assert inst.meta("k").locations == {"tier1", "tier2"}
 
@@ -55,7 +55,7 @@ class TestPersistentInstance:
         )
         server = TieraServer(inst)
         for i in range(9):
-            server.put(f"k{i}", bytes(4096))
+            server.put_object(f"k{i}", bytes(4096)).raise_for_error()
         cluster.clock.advance(600)  # let the 40KB/s capped copy finish
         in_s3 = [m.key for m in inst.iter_meta() if "tier3" in m.locations]
         assert len(in_s3) >= 8
@@ -69,7 +69,7 @@ class TestGrowingInstance:
         server = TieraServer(inst)
         tier1 = inst.tiers.get("tier1")
         for i in range(12):
-            server.put(f"k{i}", bytes(4096))
+            server.put_object(f"k{i}", bytes(4096)).raise_for_error()
         assert tier1.growing  # threshold crossed, node provisioning
         cluster.clock.advance(61)
         assert tier1.capacity == 128 * 1024
@@ -79,7 +79,7 @@ class TestMemcachedReplicated:
     def test_put_reaches_both_zones(self, registry):
         inst = templates.memcached_replicated_instance(registry, mem="1M")
         server = TieraServer(inst)
-        server.put("k", b"v")
+        server.put_object("k", b"v").raise_for_error()
         assert inst.meta("k").locations == {"tier1", "tier2"}
         zones = {
             inst.tiers.get(t).service.node.zone.name for t in ("tier1", "tier2")
@@ -89,31 +89,31 @@ class TestMemcachedReplicated:
     def test_get_served_same_az(self, registry):
         inst = templates.memcached_replicated_instance(registry, mem="1M")
         server = TieraServer(inst)
-        server.put("k", b"v")
-        server.get("k")
+        server.put_object("k", b"v").raise_for_error()
+        server.get_object("k").raise_for_error()
         assert inst.tiers.get("tier1").service.op_counts.get("get", 0) == 1
         assert inst.tiers.get("tier2").service.op_counts.get("get", 0) == 0
 
     def test_survives_one_replica_failure(self, registry):
         inst = templates.memcached_replicated_instance(registry, mem="1M")
         server = TieraServer(inst)
-        server.put("k", b"v")
+        server.put_object("k", b"v").raise_for_error()
         inst.tiers.get("tier1").service.fail()
-        assert server.get("k") == b"v"
+        assert server.get_object("k").raise_for_error().value == b"v"
 
 
 class TestMemcachedS3:
     def test_writes_cached_and_persisted(self, registry):
         inst = templates.memcached_s3_instance(registry, mem="1M")
         server = TieraServer(inst)
-        server.put("k", b"v")
+        server.put_object("k", b"v").raise_for_error()
         assert inst.meta("k").locations == {"tier1", "tier2"}
 
     def test_lru_cache_eviction_drops_not_moves(self, registry):
         inst = templates.memcached_s3_instance(registry, mem="8K")
         server = TieraServer(inst)
         for i in range(4):
-            server.put(f"k{i}", bytes(4096))
+            server.put_object(f"k{i}", bytes(4096)).raise_for_error()
         assert inst.meta("k0").locations == {"tier2"}  # dropped from cache
         assert inst.meta("k3").locations == {"tier1", "tier2"}
 
@@ -121,8 +121,8 @@ class TestMemcachedS3:
         inst = templates.memcached_s3_instance(registry, mem="8K")
         server = TieraServer(inst)
         for i in range(4):
-            server.put(f"k{i}", bytes(4096))
-        assert server.get("k0") == bytes(4096)
+            server.put_object(f"k{i}", bytes(4096)).raise_for_error()
+        assert server.get_object("k0").raise_for_error().value == bytes(4096)
         assert "tier1" in inst.meta("k0").locations
 
 
@@ -130,7 +130,7 @@ class TestDurabilityInstances:
     def test_high_durability_immediate_ebs(self, registry, cluster):
         inst = templates.high_durability_instance(registry)
         server = TieraServer(inst)
-        server.put("k", b"v")
+        server.put_object("k", b"v").raise_for_error()
         assert inst.meta("k").locations == {"tier1", "tier2"}
         cluster.clock.advance(121)
         assert "tier3" in inst.meta("k").locations
@@ -138,17 +138,18 @@ class TestDurabilityInstances:
     def test_low_durability_loses_window(self, registry, cluster):
         inst = templates.low_durability_instance(registry, push_interval=120)
         server = TieraServer(inst)
-        server.put("early", b"v")
+        server.put_object("early", b"v").raise_for_error()
         cluster.clock.advance(121)  # early is now backed up
-        server.put("late", b"v")
+        server.put_object("late", b"v").raise_for_error()
         # Memcached node dies before the next push.
         cluster.clock.advance(30)
         inst.tiers.get("tier1").service.fail()
-        assert server.get("early") == b"v"  # restored from S3
+        # restored from S3
+        assert server.get_object("early").raise_for_error().value == b"v"
         from repro.core.errors import TierUnavailableError
 
         with pytest.raises(TierUnavailableError):
-            server.get("late")  # the 2-minute window is lost
+            server.get_object("late").raise_for_error()  # the 2-minute window is lost
 
 
 class TestReplicatedVolumes:
@@ -158,7 +159,7 @@ class TestReplicatedVolumes:
         )
         server = TieraServer(inst)
         for i in range(13):
-            server.put(f"k{i}", bytes(4096))
+            server.put_object(f"k{i}", bytes(4096)).raise_for_error()
         cluster.clock.advance(10)  # background copy runs
         replicated = [
             m.key for m in inst.iter_meta() if "tier2" in m.locations
@@ -170,7 +171,7 @@ class TestWriteThroughAndReconfiguration:
     def test_figure17_reconfiguration_path(self, registry, cluster):
         inst = templates.write_through_instance(registry, mem="1M", ebs="1M")
         server = TieraServer(inst)
-        server.put("before", b"v")
+        server.put_object("before", b"v").raise_for_error()
         assert inst.meta("before").locations == {"tier1", "tier2"}
         tiers, rules = templates.ephemeral_s3_reconfiguration(registry)
         inst.reconfigure(
@@ -178,7 +179,7 @@ class TestWriteThroughAndReconfiguration:
             remove_tiers=["tier1", "tier2"],
             replace_policy=rules,
         )
-        server.put("after", b"v")
+        server.put_object("after", b"v").raise_for_error()
         assert inst.meta("after").locations == {"tier3"}
         cluster.clock.advance(121)
         assert "tier4" in inst.meta("after").locations  # backed up to S3

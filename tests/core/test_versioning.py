@@ -20,27 +20,27 @@ def versioned(registry):
 class TestVersioning:
     def test_overwrite_preserves_old_bytes(self, versioned):
         instance, server = versioned
-        server.put("doc", b"version zero")
-        server.put("doc", b"version one")
-        assert server.get("doc") == b"version one"
+        server.put_object("doc", b"version zero").raise_for_error()
+        server.put_object("doc", b"version one").raise_for_error()
+        assert server.get_object("doc").raise_for_error().value == b"version one"
         versions = instance.versions_of("doc")
         assert versions == ["doc@v0"]
-        assert server.get("doc@v0") == b"version zero"
+        assert server.get_object("doc@v0").raise_for_error().value == b"version zero"
         assert "version" in instance.meta("doc@v0").tags
 
     def test_versions_trimmed_fifo(self, versioned):
         instance, server = versioned
         for n in range(5):
-            server.put("doc", f"content {n}".encode())
+            server.put_object("doc", f"content {n}".encode()).raise_for_error()
         versions = instance.versions_of("doc")
         assert versions == ["doc@v2", "doc@v3"]  # max_versions=2, oldest gone
-        assert server.get("doc@v3") == b"content 3"
+        assert server.get_object("doc@v3").raise_for_error().value == b"content 3"
 
     def test_version_stored_in_slowest_current_tier(self, versioned):
         instance, server = versioned
-        server.put("doc", b"v0")
+        server.put_object("doc", b"v0").raise_for_error()
         # Object only in tier1 (default placement): version goes there.
-        server.put("doc", b"v1")
+        server.put_object("doc", b"v1").raise_for_error()
         assert instance.meta("doc@v0").locations == {"tier1"}
 
     def test_explicit_version_tier(self, registry):
@@ -50,8 +50,8 @@ class TestVersioning:
         )
         instance.enable_versioning(tier="cold", max_versions=3)
         server = TieraServer(instance)
-        server.put("doc", b"v0")
-        server.put("doc", b"v1")
+        server.put_object("doc", b"v0").raise_for_error()
+        server.put_object("doc", b"v1").raise_for_error()
         assert instance.meta("doc@v0").locations == {"cold"}
 
     def test_unknown_tier_rejected(self, two_tier):
@@ -64,11 +64,11 @@ class TestVersioning:
 
     def test_fresh_insert_creates_no_version(self, versioned):
         instance, server = versioned
-        server.put("doc", b"first")
+        server.put_object("doc", b"first").raise_for_error()
         assert instance.versions_of("doc") == []
 
     def test_disabled_by_default(self, two_tier):
         server = TieraServer(two_tier)
-        server.put("doc", b"v0")
-        server.put("doc", b"v1")
+        server.put_object("doc", b"v0").raise_for_error()
+        server.put_object("doc", b"v1").raise_for_error()
         assert two_tier.versions_of("doc") == []

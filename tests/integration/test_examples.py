@@ -11,7 +11,10 @@ EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
 
 def run_example(name: str, timeout: float = 120.0) -> str:
     result = subprocess.run(
-        [sys.executable, os.path.join(EXAMPLES, name)],
+        [
+            sys.executable, "-W", "error::DeprecationWarning",
+            os.path.join(EXAMPLES, name),
+        ],
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -42,6 +45,11 @@ class TestExamples:
     def test_remote_server(self):
         out = run_example("remote_server.py")
         assert "server stopped cleanly" in out
+
+    def test_trace_compare(self):
+        out = run_example("trace_compare.py")
+        assert "recorded trace: 2000 operations" in out
+        assert "pick the tradeoff you want" in out
 
     @pytest.mark.slow
     def test_failure_recovery(self):

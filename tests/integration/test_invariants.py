@@ -38,14 +38,14 @@ def run_ops(server, cluster, ops):
     for kind, key_id, payload_id, seconds in ops:
         key = f"k{key_id}"
         if kind == "put":
-            server.put(key, payload(payload_id))
+            server.put_object(key, payload(payload_id)).raise_for_error()
             live.add(key)
         elif kind == "get":
             if key in live:
-                server.get(key)
+                server.get_object(key).raise_for_error()
         elif kind == "delete":
             if key in live:
-                server.delete(key)
+                server.delete_object(key).raise_for_error()
                 live.discard(key)
         else:
             cluster.clock.advance(seconds)
@@ -55,7 +55,7 @@ def run_ops(server, cluster, ops):
 def check_invariants(instance, server, live):
     # 1. Every live object is readable; dead keys are gone.
     for key in live:
-        assert isinstance(server.get(key), bytes)
+        assert isinstance(server.get_object(key).raise_for_error().value, bytes)
     assert set(server.keys()) == live
     # 2. Metadata locations agree with tier contents (for non-aliases).
     for meta in instance.iter_meta():

@@ -58,7 +58,7 @@ class TestControlLayerAuditing:
     def test_foreground_rule_is_audited_with_tiers(self, registry):
         instance = templates.write_through_instance(registry, mem="4M", ebs="4M")
         server = TieraServer(instance)
-        server.put("k", b"x" * 64)
+        server.put_object("k", b"x" * 64).raise_for_error()
 
         records = instance.obs.audit.records(category="rule")
         assert len(records) == 1
@@ -76,7 +76,7 @@ class TestControlLayerAuditing:
             registry, push_interval=60
         )
         server = TieraServer(instance)
-        server.put("k", b"v")
+        server.put_object("k", b"v").raise_for_error()
         cluster.clock.advance(61)
 
         timer_records = instance.obs.audit.records(name="push-to-s3")
@@ -91,7 +91,7 @@ class TestControlLayerAuditing:
         )
         server = TieraServer(instance)
         instance.tiers.get("tier3").service.fail()  # S3 down
-        server.put("k", b"v")
+        server.put_object("k", b"v").raise_for_error()
         cluster.clock.advance(61)  # the push fires and fails, swallowed
 
         # Legacy list still populated...
@@ -109,7 +109,7 @@ class TestControlLayerAuditing:
         instance = templates.write_through_instance(registry, mem="4M", ebs="4M")
         server = TieraServer(instance)
         for n in range(3):
-            server.put(f"k{n}", b"v")
+            server.put_object(f"k{n}", b"v").raise_for_error()
         fired = instance.obs.metrics.get("tiera_rules_fired_total")
         assert fired.value(rule="write-through") == 3
         assert instance.control.fired["write-through"] == 3
@@ -117,7 +117,7 @@ class TestControlLayerAuditing:
     def test_rule_seconds_split_by_mode(self, registry, cluster):
         instance = templates.high_durability_instance(registry, push_interval=60)
         server = TieraServer(instance)
-        server.put("k", b"v")
+        server.put_object("k", b"v").raise_for_error()
         cluster.clock.advance(61)
         seconds = instance.obs.metrics.get("tiera_rule_seconds_total")
         assert seconds.value(rule="write-through-ebs", mode="foreground") > 0

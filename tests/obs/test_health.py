@@ -8,7 +8,7 @@ class TestHealth:
     def test_healthy_instance(self, registry):
         instance = templates.write_through_instance(registry, mem="4M", ebs="4M")
         server = TieraServer(instance)
-        server.put("k", b"v")
+        server.put_object("k", b"v").raise_for_error()
         health = server.health()
         assert health["status"] == "ok"
         assert health["instance"] == "WriteThrough"
@@ -31,7 +31,7 @@ class TestHealth:
         instance = templates.high_durability_instance(registry, push_interval=60)
         server = TieraServer(instance)
         instance.tiers.get("tier3").service.fail()
-        server.put("k", b"v")
+        server.put_object("k", b"v").raise_for_error()
         cluster.clock.advance(61)  # the push fires against dead S3, swallowed
         instance.tiers.get("tier3").service.recover()
 

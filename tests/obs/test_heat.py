@@ -224,6 +224,23 @@ class TestHeatTracker:
         assert tracker.hot_min == 1
         assert tracker.top_k == 4
 
+    @pytest.mark.parametrize("bad", [
+        {"top_k": -1}, {"windows": [0]}, {"sample_interval": 0},
+    ])
+    def test_refused_enable_changes_nothing(self, bad):
+        tracker = HeatTracker(MetricsRegistry())
+
+        def state():
+            return (tracker.windows, tracker.top_k, tracker.sample_interval,
+                    tracker.max_objects, tracker.hot_min)
+
+        before = state()
+        with pytest.raises(ValueError):
+            tracker.enable(max_objects=8, hot_min=1, **bad)
+        after = state()
+        assert after == before
+        assert tracker.enabled is False
+
 
 class TestRenderReport:
     def test_disabled_summary(self):
@@ -302,10 +319,10 @@ class TestHeatSpecIntegration:
         inst = compile_spec(HEAT_SPEC, registry)
         inst.enable_heat(hot_min=4)
         server = TieraServer(inst)
-        server.put("alpha", b"v" * 64)
-        server.put("beta", b"v" * 64)
+        server.put_object("alpha", b"v" * 64).raise_for_error()
+        server.put_object("beta", b"v" * 64).raise_for_error()
         for _ in range(6):
-            server.get("alpha")
+            server.get_object("alpha").raise_for_error()
         assert inst.obs.heat.is_hot("alpha")
         assert "tier1" not in inst.meta("alpha").locations
         # Background threshold responses run off the simulated clock.
@@ -327,9 +344,9 @@ class TestHeatSpecIntegration:
         inst = compile_spec(HEAT_SPEC, registry)
         inst.enable_heat(hot_min=2)
         server = TieraServer(inst)
-        server.put("alpha", b"v" * 64)
+        server.put_object("alpha", b"v" * 64).raise_for_error()
         for _ in range(3):
-            server.get("alpha")
+            server.get_object("alpha").raise_for_error()
         scope = EvalScope(instance=inst)
         assert AttrRef(("heat", "accesses")).evaluate(scope) == 4
         assert AttrRef(("heat", "reads")).evaluate(scope) == 3
@@ -367,10 +384,10 @@ class TestServerHeatSurface:
         server = TieraServer(inst)
         assert server.heat_summary() == {"enabled": False}
         assert "heat" not in server.health()
-        server.enable_heat(hot_min=2)
-        server.put("k", b"x" * 128)
+        server.configure("heat", hot_min=2).raise_for_error()
+        server.put_object("k", b"x" * 128).raise_for_error()
         for _ in range(3):
-            server.get("k")
+            server.get_object("k").raise_for_error()
         health = server.health()
         assert health["heat"]["accesses"] == 4
         assert health["heat"]["hot_keys"] == ["k"]

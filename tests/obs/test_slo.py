@@ -222,8 +222,8 @@ class TestServerIntegration:
     def _drive(self, instance, server, fail_tier=None):
         ctx = RequestContext(instance.clock)
         for i in range(40):
-            server.put(f"k{i}", b"x" * 128, ctx=ctx)
-            server.get(f"k{i}", ctx=ctx)
+            server.put_object(f"k{i}", b"x" * 128, ctx=ctx).raise_for_error()
+            server.get_object(f"k{i}", ctx=ctx).raise_for_error()
         instance.clock.run_until(ctx.time)
         return ctx
 

@@ -1,5 +1,6 @@
 """RPC server/client over real sockets (WallClock instances)."""
 
+import socket
 import threading
 import time
 
@@ -12,6 +13,7 @@ from repro.core.responses import Store
 from repro.core.selectors import InsertObject
 from repro.core.server import TieraServer
 from repro.rpc import RpcError, TieraClient, TieraRpcServer
+from repro.rpc.protocol import encode_bytes, read_frame, write_frame
 from repro.simcloud.clock import WallClock
 from repro.simcloud.cluster import Cluster
 from repro.tiers.registry import TierRegistry
@@ -69,31 +71,31 @@ class TestRpcRoundtrip:
         assert client.ping()
 
     def test_put_get(self, client):
-        latency = client.put("k", b"remote bytes")
-        assert latency >= 0
-        assert client.get("k") == b"remote bytes"
+        result = client.put_object("k", b"remote bytes").raise_for_error()
+        assert result.latency >= 0
+        assert client.get_object("k").raise_for_error().value == b"remote bytes"
 
     def test_binary_safety(self, client):
         payload = bytes(range(256)) * 8
-        client.put("bin", payload)
-        assert client.get("bin") == payload
+        client.put_object("bin", payload).raise_for_error()
+        assert client.get_object("bin").raise_for_error().value == payload
 
     def test_delete_and_contains(self, client):
-        client.put("k", b"v")
+        client.put_object("k", b"v").raise_for_error()
         assert client.contains("k")
-        client.delete("k")
+        client.delete_object("k").raise_for_error()
         assert not client.contains("k")
 
     def test_stat(self, client):
-        client.put("k", b"hello", tags=["web"])
+        client.put_object("k", b"hello", tags=["web"]).raise_for_error()
         stat = client.stat("k")
         assert stat["size"] == 5
         assert stat["tags"] == ["web"]
         assert sorted(stat["locations"]) == ["tier1", "tier2"]
 
     def test_tags_and_keys(self, client):
-        client.put("a", b"1", tags=["x"])
-        client.put("b", b"2")
+        client.put_object("a", b"1", tags=["x"]).raise_for_error()
+        client.put_object("b", b"2").raise_for_error()
         client.add_tag("b", "x")
         assert client.keys(tag="x") == ["a", "b"]
         assert client.keys() == ["a", "b"]
@@ -105,7 +107,7 @@ class TestRpcRoundtrip:
 
     def test_missing_key_error(self, client):
         with pytest.raises(RpcError) as excinfo:
-            client.get("ghost")
+            client.get_object("ghost").raise_for_error()
         assert excinfo.value.error_type == "NoSuchObjectError"
 
     def test_unknown_method(self, live_server, client):
@@ -113,10 +115,36 @@ class TestRpcRoundtrip:
             client._call("explode")
         assert excinfo.value.error_type == "UnknownMethod"
 
+    def test_positional_put_frame_is_an_unknown_method(self, live_server):
+        """Only the envelope verbs are on the wire: a raw ``put`` frame
+        is refused, not served."""
+        with socket.create_connection(
+            (live_server.host, live_server.port), timeout=5.0
+        ) as sock:
+            write_frame(sock, {
+                "id": 1, "method": "put",
+                "params": {"key": "k", "data": encode_bytes(b"v")},
+            })
+            response = read_frame(sock)
+        assert "result" not in response
+        assert response["error"]["code"] == "UNKNOWN_METHOD"
+
+
+class TestHeatVerb:
+    def test_misspelled_option_is_refused_and_tracker_stays_off(self, client):
+        envelope = client.configure("heat", topk=4)
+        assert envelope.error == "BAD_CONFIG"
+        assert client.heat() == {"enabled": False}
+
+    def test_heat_verb_is_read_only(self, client):
+        assert client._call("heat", enable=True, top_k=4) == {"enabled": False}
+        client.configure("heat", top_k=4).raise_for_error()
+        assert client.heat(limit=1)["config"]["top_k"] == 4
+
 
 class TestIntrospection:
     def test_stats_snapshot(self, client):
-        client.put("k", b"v")
+        client.put_object("k", b"v").raise_for_error()
         snap = client.stats()
         requests = snap["metrics"]["tiera_requests_total"]["samples"]
         assert requests["op=put"] == 1
@@ -124,7 +152,7 @@ class TestIntrospection:
         assert snap["traces"]["enabled"] is False
 
     def test_stats_prometheus_text(self, client):
-        client.put("k", b"v")
+        client.put_object("k", b"v").raise_for_error()
         text = client.stats(format="prometheus")
         assert isinstance(text, str)
         assert "# TYPE tiera_requests_total counter" in text
@@ -133,8 +161,8 @@ class TestIntrospection:
     def test_trace_toggle_and_fetch(self, client):
         result = client.trace(enable=True)
         assert result["enabled"] is True
-        client.put("k", b"v")
-        client.get("k")
+        client.put_object("k", b"v").raise_for_error()
+        client.get_object("k").raise_for_error()
         result = client.trace(limit=5, enable=False)
         assert result["enabled"] is False
         ops = [t["attrs"]["op"] for t in result["traces"]]
@@ -143,7 +171,7 @@ class TestIntrospection:
         assert get_trace["attrs"]["served_by"] in ("tier1", "tier2")
 
     def test_health(self, client):
-        client.put("k", b"v")
+        client.put_object("k", b"v").raise_for_error()
         health = client.health()
         assert health["status"] == "ok"
         assert health["objects"] == 1
@@ -153,7 +181,7 @@ class TestIntrospection:
         from repro.cli import main
 
         with TieraClient(live_server.host, live_server.port) as conn:
-            conn.put("k", b"v")
+            conn.put_object("k", b"v").raise_for_error()
         assert main(
             ["stats", "--port", str(live_server.port)]
         ) == 0
@@ -197,8 +225,9 @@ class TestConcurrency:
                 with TieraClient(live_server.host, live_server.port) as conn:
                     for i in range(20):
                         key = f"w{worker_id}-{i}"
-                        conn.put(key, key.encode())
-                        assert conn.get(key) == key.encode()
+                        conn.put_object(key, key.encode()).raise_for_error()
+                        got = conn.get_object(key).raise_for_error()
+                        assert got.value == key.encode()
             except Exception as exc:  # pragma: no cover - fail loudly
                 errors.append(exc)
 
@@ -211,37 +240,37 @@ class TestConcurrency:
 
     def test_sequential_requests_one_connection(self, client):
         for i in range(50):
-            client.put(f"k{i}", b"x")
+            client.put_object(f"k{i}", b"x").raise_for_error()
         assert len(client.keys()) == 50
 
 
 class TestDurabilityVerbs:
     def test_fsck_clean_over_rpc(self, client):
-        client.put("k", b"bytes")
+        client.put_object("k", b"bytes").raise_for_error()
         report = client.fsck()
         assert report["clean"] is True
         assert report["counts"]["findings"] == 0
 
     def test_fsck_repair_flag_round_trips(self, client):
-        client.put("k", b"bytes")
+        client.put_object("k", b"bytes").raise_for_error()
         report = client.fsck(repair=True)
         assert report["repair"] is True
 
     def test_snapshot_restore_roundtrip(self, client):
         for i in range(3):
-            client.put(f"obj{i}", b"payload-%d" % i)
+            client.put_object(f"obj{i}", b"payload-%d" % i).raise_for_error()
         result = client.snapshot()
         manifest = result["manifest"]
         assert manifest["objects"] == 3
         assert result["archive"][:8]  # non-empty tar bytes
 
-        client.delete("obj0")
-        client.put("obj9", b"post-snapshot write")
+        client.delete_object("obj0").raise_for_error()
+        client.put_object("obj9", b"post-snapshot write").raise_for_error()
         restored = client.restore(result["archive"])
         assert restored["verified"] is True
         assert client.contains("obj0")
         assert not client.contains("obj9")
-        assert client.get("obj1") == b"payload-1"
+        assert client.get_object("obj1").raise_for_error().value == b"payload-1"
 
     def test_restore_rejects_garbage_archive(self, client):
         with pytest.raises(RpcError):
@@ -258,17 +287,17 @@ class TestDurabilityVerbs:
         from repro.cli import main
 
         with TieraClient(live_server.host, live_server.port) as conn:
-            conn.put("cli-obj", b"cli bytes")
+            conn.put_object("cli-obj", b"cli bytes").raise_for_error()
         archive = str(tmp_path / "backup.tar")
         port = str(live_server.port)
         assert main(["snapshot", "--port", port, "--out", archive]) == 0
         assert "1 objects" in capsys.readouterr().out
         with TieraClient(live_server.host, live_server.port) as conn:
-            conn.delete("cli-obj")
+            conn.delete_object("cli-obj").raise_for_error()
         assert main(["restore", archive, "--port", port]) == 0
         assert '"verified": true' in capsys.readouterr().out
         with TieraClient(live_server.host, live_server.port) as conn:
-            assert conn.get("cli-obj") == b"cli bytes"
+            assert conn.get_object("cli-obj").raise_for_error().value == b"cli bytes"
 
 
 class TestBackupVerbs:
@@ -276,13 +305,13 @@ class TestBackupVerbs:
         assert client.backup() == {"enabled": False}
 
     def test_lifecycle_round_trip(self, client, tmp_path):
-        client.put("obj0", b"v0" * 64)
+        client.put_object("obj0", b"v0" * 64).raise_for_error()
         status = client.backup(enable=True, root=str(tmp_path / "bk"))
         assert status["enabled"] is True
 
         full = client.backup(action="snapshot", kind="full")["snapshot"]
         assert full["kind"] == "full"
-        client.put("obj1", b"v1" * 64)
+        client.put_object("obj1", b"v1" * 64).raise_for_error()
         inc = client.backup(action="snapshot")["snapshot"]
         assert inc["kind"] == "incremental"
         assert inc["parent"] == full["id"]
@@ -308,15 +337,15 @@ class TestBackupVerbs:
 
     def test_restore_to_seq_over_rpc(self, client, tmp_path):
         client.backup(enable=True, root=str(tmp_path / "bk"))
-        client.put("k", b"v1" * 64)
+        client.put_object("k", b"v1" * 64).raise_for_error()
         client.backup(action="snapshot", kind="full")
-        client.put("k", b"v2" * 64)
+        client.put_object("k", b"v2" * 64).raise_for_error()
         target = client.backup()["status"]["wal"]["last_seq"]
-        client.put("k", b"v3" * 64)
+        client.put_object("k", b"v3" * 64).raise_for_error()
         restore = client.backup(action="restore", to_seq=target)["restore"]
         assert restore["to_seq"] == target
         assert restore["replayed"] > 0
-        assert client.get("k") == b"v2" * 64
+        assert client.get_object("k").raise_for_error().value == b"v2" * 64
 
     def test_backup_errors_have_a_stable_code(self, client, tmp_path):
         client.backup(enable=True, root=str(tmp_path / "bk"))
@@ -333,7 +362,7 @@ class TestBackupVerbs:
         assert "not enabled" in capsys.readouterr().err
 
         with TieraClient(live_server.host, live_server.port) as conn:
-            conn.put("cli-obj", b"cli bytes")
+            conn.put_object("cli-obj", b"cli bytes").raise_for_error()
             conn.backup(enable=True, root=str(tmp_path / "bk"))
 
         assert main([
@@ -369,8 +398,8 @@ class TestClusterVerb:
     def test_status_fsck_replay_and_anti_entropy(self, cluster_rpc):
         rpc, router = cluster_rpc
         with TieraClient(rpc.host, rpc.port) as conn:
-            conn.put("ck", b"cluster bytes")
-            assert conn.get("ck") == b"cluster bytes"
+            conn.put_object("ck", b"cluster bytes").raise_for_error()
+            assert conn.get_object("ck").raise_for_error().value == b"cluster bytes"
 
             status = conn.cluster()["status"]
             assert status["replicas"] == 2

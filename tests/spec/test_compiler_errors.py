@@ -151,9 +151,9 @@ class TestCompiledShapes:
             args={"t": 60},
         )
         server = TieraServer(instance)
-        server.put("doc", b"day one")
+        server.put_object("doc", b"day one").raise_for_error()
         registry.cluster.clock.advance(61)
-        assert server.get("doc@daily") == b"day one"
+        assert server.get_object("doc@daily").raise_for_error().value == b"day one"
 
     def test_shrink_compiles(self, registry):
         instance = compile_with(

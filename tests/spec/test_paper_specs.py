@@ -117,7 +117,7 @@ class TestFigure3:
     def test_compiles_and_runs(self, registry, cluster):
         inst = compile_spec(FIGURE_3, registry, args={"t": 30})
         server = TieraServer(inst)
-        server.put("k", b"v")
+        server.put_object("k", b"v").raise_for_error()
         assert inst.meta("k").locations == {"tier1"}
         assert inst.meta("k").dirty
         cluster.clock.advance(31)
@@ -146,7 +146,7 @@ class TestFigure4:
     def test_write_through(self, registry):
         inst = compile_spec(FIGURE_4, registry)
         server = TieraServer(inst)
-        server.put("k", b"v")
+        server.put_object("k", b"v").raise_for_error()
         assert inst.meta("k").locations == {"tier1", "tier2"}
 
     def test_backup_event_is_background(self, registry):
@@ -159,7 +159,7 @@ class TestFigure5:
         inst = compile_spec(FIGURE_5_LRU, registry)
         server = TieraServer(inst)
         for i in range(3):
-            server.put(f"k{i}", bytes(4096))
+            server.put_object(f"k{i}", bytes(4096)).raise_for_error()
         assert inst.meta("k0").locations == {"tier2"}
         assert inst.meta("k1").locations == {"tier1"}
         assert inst.meta("k2").locations == {"tier1"}
@@ -168,7 +168,7 @@ class TestFigure5:
         inst = compile_spec(FIGURE_5_MRU, registry)
         server = TieraServer(inst)
         for i in range(3):
-            server.put(f"k{i}", bytes(4096))
+            server.put_object(f"k{i}", bytes(4096)).raise_for_error()
         # MRU: the most recently used resident (k1) was pushed out to
         # make room for k2; the oldest resident k0 stays.
         assert inst.meta("k0").locations == {"tier1"}
@@ -181,7 +181,7 @@ class TestFigure6:
         inst = compile_spec(FIGURE_6, registry, args={"t": 3600})
         server = TieraServer(inst)
         for i in range(3):
-            server.put(f"g{i}", bytes(4096))
+            server.put_object(f"g{i}", bytes(4096)).raise_for_error()
         tier1 = inst.tiers.get("tier1")
         assert tier1.growing
         cluster.clock.advance(61)
@@ -190,7 +190,7 @@ class TestFigure6:
     def test_write_back_moves(self, registry, cluster):
         inst = compile_spec(FIGURE_6, registry, args={"t": 10})
         server = TieraServer(inst)
-        server.put("k", bytes(1024))
+        server.put_object("k", bytes(1024)).raise_for_error()
         cluster.clock.advance(11)
         assert inst.meta("k").locations == {"tier2"}
 
@@ -199,7 +199,7 @@ class TestReplicatedSpec:
     def test_two_zones(self, registry):
         inst = compile_spec(MEMCACHED_REPLICATED, registry)
         server = TieraServer(inst)
-        server.put("k", b"v")
+        server.put_object("k", b"v").raise_for_error()
         assert inst.meta("k").locations == {"tier1", "tier2"}
         zones = {
             inst.tiers.get(name).service.node.zone.name
