@@ -227,6 +227,7 @@ def test_backup_lifecycle(benchmark, emit):
     ))
     assert summary["pitr"]["digest_match"], "PITR digest must match reference"
     assert summary["pitr"]["fsck_clean"]
+    assert summary["pitr"]["replayed"] > 0, "PITR must replay WAL records"
     assert summary["verification"]["ok"]
     assert summary["incremental_vs_full_bytes"] < 0.7, (
         "an incremental over a 15% change wave should be well under a "
@@ -251,6 +252,7 @@ def main(argv=None) -> int:
         ok = (
             summary["pitr"]["digest_match"]
             and summary["pitr"]["fsck_clean"]
+            and summary["pitr"]["replayed"] > 0
             and summary["verification"]["ok"]
             and summary["incremental_vs_full_bytes"] < 0.7
         )

@@ -114,7 +114,10 @@ def run_stream(enable_heat: bool):
             "recall": round(hit / len(true_hot), 4),
             "distinct_keys": len(true_counts),
         })
-    summary = server.heat_summary() if tracker is not None else None
+    summary = (
+        server.invoke("heat", "summary").state if tracker is not None
+        else None
+    )
     return phases, summary, ctx
 
 
@@ -150,6 +153,8 @@ def run_gates():
         and summary["sketch_entries"] <= TOP_K
         and summary["tracked_objects"] <= MAX_OBJECTS
         and overhead < OVERHEAD_GATE
+        # the observer-effect rule: tracking never moves virtual time
+        and on_t == off_t
     )
     return ok, report
 
@@ -197,6 +202,9 @@ def test_heat_telemetry(benchmark, emit):
     assert report["sketch_entries"] <= TOP_K
     assert report["tracked_objects"] <= MAX_OBJECTS
     assert report["virtual_overhead"] < OVERHEAD_GATE
+    assert (
+        report["virtual_seconds_enabled"] == report["virtual_seconds_disabled"]
+    )
 
 
 def main(argv=None) -> int:

@@ -52,6 +52,8 @@ def _gate(report, crash_report) -> list:
         )
     if report["hints"]["pending"]:
         failures.append(f"{report['hints']['pending']} hints never drained")
+    if not report["hints"]["recorded"]:
+        failures.append("the outage recorded no hints")
     if report["anti_entropy"]["final_divergent"]:
         failures.append(
             f"{report['anti_entropy']['final_divergent']} replica groups "

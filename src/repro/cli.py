@@ -219,7 +219,7 @@ def cmd_stats(options) -> int:
                 print(f"  slo {objective['name']}: {flag} "
                       f"(current {objective['current']}, "
                       f"burn {objective['burn_rate']:.2f}x)")
-        _print_heat_summary(health.get("heat"))
+        _print_heat_headline(health.get("heat"))
         _print_backup_summary(health.get("backup"))
         print(f"  background errors: {health['background_errors']} "
               f"(audit: {health['audit_errors']})")
@@ -231,7 +231,7 @@ def cmd_stats(options) -> int:
     return 0
 
 
-def _print_heat_summary(heat: Optional[Dict[str, object]]) -> None:
+def _print_heat_headline(heat: Optional[Dict[str, object]]) -> None:
     """Workload-heat headline lines for the stats summary.
 
     The output shape is pinned by tests/core/test_cli.py — a ``heat:``
@@ -303,11 +303,10 @@ def cmd_profile(options) -> int:
     from repro.bench.telemetry import profile_scenario, render_profile
 
     if options.port is not None:
-        client = _connect(options)
-        if client is None:
+        envelope = _manage(options, "profile", "report", reset=options.reset)
+        if envelope is None:
             return 1
-        with client:
-            report = client.profile(reset=options.reset)
+        report = envelope.state
     else:
         try:
             report = profile_scenario(
@@ -399,12 +398,37 @@ def _connect(options):
         return None
 
 
-def cmd_fsck(options) -> int:
+def _manage(options, feature: str, action: str, config=None, **params):
+    """Over RPC: ``configure(feature, **config)`` first when ``config``
+    is given, then ``invoke(feature, action, **params)``.  Returns the
+    envelope, or None after printing why not (no connection, or a
+    refusal as ``error [CODE]: message``)."""
     client = _connect(options)
     if client is None:
-        return 1
+        return None
     with client:
-        report = client.fsck(repair=options.repair)
+        envelope = None
+        if config is not None:
+            envelope = client.configure(feature, **config)
+        if envelope is None or envelope.ok:
+            envelope = client.invoke(feature, action, **params)
+    if not envelope.ok:
+        print(f"error [{envelope.error}]: {envelope.error_message}",
+              file=sys.stderr)
+        return None
+    return envelope
+
+
+def _document(envelope) -> Dict[str, object]:
+    """An envelope as one JSON document: its state plus ``enabled``."""
+    return {"enabled": envelope.enabled, **envelope.state}
+
+
+def cmd_fsck(options) -> int:
+    envelope = _manage(options, "durability", "fsck", repair=options.repair)
+    if envelope is None:
+        return 1
+    report = envelope.state
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if report["clean"] else 1
 
@@ -443,11 +467,6 @@ def cmd_restore(options) -> int:
 
 
 def cmd_backup(options) -> int:
-    client = _connect(options)
-    if client is None:
-        return 1
-    from repro.rpc import RpcError
-
     action = options.backup_action
     params: Dict[str, object] = {}
     if action == "snapshot":
@@ -466,16 +485,14 @@ def cmd_backup(options) -> int:
             params["keep_last"] = options.keep_last
         if options.keep_window is not None:
             params["keep_window"] = options.keep_window
-    with client:
-        try:
-            result = client.backup(action=action, **params)
-        except RpcError as exc:
-            print(f"backup {action} failed: {exc}", file=sys.stderr)
-            return 1
-    if not result.get("enabled"):
+    envelope = _manage(options, "backup", action, **params)
+    if envelope is None:
+        return 1
+    if not envelope.enabled:
         print("backups are not enabled on this server "
               "(serve with --backup-root)", file=sys.stderr)
         return 1
+    result = envelope.state
     if action == "list":
         for entry in result["snapshots"]:
             flags = "".join(
@@ -498,22 +515,9 @@ def cmd_backup(options) -> int:
     return 0
 
 
-def _configure(client, feature: str, config: Dict[str, object]) -> bool:
-    """``configure`` a feature over RPC; on a refusal print the
-    envelope's ``error [CODE]: message`` and return False."""
-    envelope = client.configure(feature, **config)
-    if not envelope.ok:
-        print(f"error [{envelope.error}]: {envelope.error_message}",
-              file=sys.stderr)
-    return envelope.ok
-
-
 def cmd_heat(options) -> int:
     from repro.obs.heat import render_report
 
-    client = _connect(options)
-    if client is None:
-        return 1
     config: Dict[str, object] = {}
     if options.top_k is not None:
         config["top_k"] = options.top_k
@@ -528,10 +532,13 @@ def cmd_heat(options) -> int:
     if config and not options.enable:
         print("configuration flags need --enable", file=sys.stderr)
         return 1
-    with client:
-        if options.enable and not _configure(client, "heat", config):
-            return 1
-        summary = client.heat(limit=options.limit)
+    envelope = _manage(
+        options, "heat", "summary", config if options.enable else None,
+        limit=options.limit,
+    )
+    if envelope is None:
+        return 1
+    summary = _document(envelope)
     if options.format == "json":
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:
@@ -540,9 +547,6 @@ def cmd_heat(options) -> int:
 
 
 def cmd_placement(options) -> int:
-    client = _connect(options)
-    if client is None:
-        return 1
     config: Dict[str, object] = {}
     if options.objective is not None:
         config["objective"] = options.objective
@@ -551,20 +555,23 @@ def cmd_placement(options) -> int:
     if config and not options.enable:
         print("configuration flags need --enable", file=sys.stderr)
         return 1
-    with client:
-        if options.enable and not _configure(client, "placement", config):
-            return 1
-        result = client.placement(action=options.placement_action)
+    envelope = _manage(
+        options, "placement", options.placement_action,
+        config if options.enable else None,
+    )
+    if envelope is None:
+        return 1
+    result = _document(envelope)
     if options.format == "json":
         print(json.dumps(result, indent=2, sort_keys=True))
     elif options.placement_action == "status":
-        _print_placement_status(result)
+        _print_engine_status(result)
     else:
-        _print_placement_plan(result)
+        _print_engine_plan(result)
     return 0 if result.get("enabled") else 1
 
 
-def _print_placement_status(status: Dict[str, object]) -> None:
+def _print_engine_status(status: Dict[str, object]) -> None:
     if not status.get("enabled"):
         print("placement: disabled (repro placement --enable, or "
               'configure("placement", ...))')
@@ -582,7 +589,7 @@ def _print_placement_status(status: Dict[str, object]) -> None:
               f"({last['origin']}), {last['skipped']} skipped")
 
 
-def _print_placement_plan(plan: Dict[str, object]) -> None:
+def _print_engine_plan(plan: Dict[str, object]) -> None:
     if not plan.get("enabled"):
         print("placement: disabled")
         return
@@ -653,18 +660,15 @@ def cmd_cluster(options) -> int:
         print(f"cluster {action} needs --port (a running `repro serve`)",
               file=sys.stderr)
         return 1
-    client = _connect(options)
-    if client is None:
-        return 1
     params: Dict[str, object] = {}
     if action == "fsck" and options.repair:
         params["repair"] = True
     if action == "replay" and options.target is not None:
         params["target"] = options.target
-    with client:
-        result = client.cluster(
-            action=action.replace("-", "_"), **params
-        )
+    envelope = _manage(options, "cluster", action.replace("-", "_"), **params)
+    if envelope is None:
+        return 1
+    result = _document(envelope)
     print(json.dumps(result, indent=2, sort_keys=True))
     if not result.get("enabled"):
         print("server is not a replicated shard cluster", file=sys.stderr)

@@ -302,25 +302,34 @@ class StorageAPI(Protocol):
 class ManagementResult:
     """Envelope for the unified management surface.
 
-    ``configure(feature, **options)`` and ``feature_status(feature)``
-    return this from every façade — direct, sharded, and RPC — so the
-    admin plane has the same stable shape as the data plane.  Errors
-    are *captured*, never raised: an unknown feature comes back with
-    ``error == "UNKNOWN_FEATURE"``, refused options with
-    ``error == "BAD_CONFIG"``.  ``state`` is a JSON-clean dict (no
+    ``configure(feature, **options)``, ``feature_status(feature)`` and
+    ``invoke(feature, action, **params)`` return this from every façade
+    — direct, sharded, and RPC — so the admin plane has the same stable
+    shape as the data plane.  Errors are *captured*, never raised: an
+    unknown feature comes back with ``error == "UNKNOWN_FEATURE"``,
+    refused options with ``error == "BAD_CONFIG"``, a failed action
+    with its exception's code.  ``state`` is a JSON-clean dict (no
     tuples, no bytes) so the RPC round-trip is the identity.
     """
 
     feature: str
-    action: str                     # "configure" | "status"
+    action: str                     # "configure" | "status" | an action
     ok: bool = True
     enabled: bool = False
     state: Dict[str, object] = field(default_factory=dict)
     error: Optional[str] = None     # stable code, e.g. UNKNOWN_FEATURE
     error_message: Optional[str] = None
+    #: the captured exception of a failed action (in process, or its
+    #: RpcError on the client).  Excluded from equality so direct and
+    #: RPC façades compare equal.
+    exception: Optional[BaseException] = field(
+        default=None, repr=False, compare=False
+    )
 
     def raise_for_error(self) -> "ManagementResult":
         if not self.ok:
+            if self.exception is not None:
+                raise self.exception
             from repro.core import errors
 
             exc_cls = {
@@ -335,7 +344,7 @@ class ManagementResult:
         return self
 
     def to_wire(self) -> Dict[str, object]:
-        return {
+        wire: Dict[str, object] = {
             "feature": self.feature,
             "action": self.action,
             "ok": self.ok,
@@ -344,6 +353,10 @@ class ManagementResult:
             "error": self.error,
             "error_message": self.error_message,
         }
+        if self.exception is not None:
+            # kept so the RPC client can re-raise faithfully
+            wire["error_type"] = type(self.exception).__name__
+        return wire
 
     @classmethod
     def from_wire(cls, doc: Dict[str, object]) -> "ManagementResult":
@@ -360,16 +373,22 @@ class ManagementResult:
 
 @runtime_checkable
 class ManagementAPI(Protocol):
-    """The admin verb pair every Tiera façade implements.
+    """The admin verbs every Tiera façade implements.
 
     One keyword-only ``configure`` turns a feature on or retunes it,
-    one ``feature_status`` inspects it; both return
-    :class:`ManagementResult` envelopes with stable error codes.
+    one ``feature_status`` inspects it, one ``invoke`` runs a named
+    action; all return :class:`ManagementResult` envelopes with stable
+    error codes.  The features and their actions are the rows of
+    :mod:`repro.core.features`.
     """
 
     def configure(self, feature: str, **options) -> ManagementResult: ...
 
     def feature_status(self, feature: str) -> ManagementResult: ...
+
+    def invoke(
+        self, feature: str, action: str, **params
+    ) -> ManagementResult: ...
 
 
 def batch_from_verbs(

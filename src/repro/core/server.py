@@ -14,7 +14,7 @@ from __future__ import annotations
 import zlib
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core import api
+from repro.core import api, features
 from repro.core.actions import Action, DELETE, GET, INSERT
 from repro.core.api import (
     AdmissionController,
@@ -23,7 +23,7 @@ from repro.core.api import (
     ManagementResult,
     OpResult,
 )
-from repro.core.errors import BAD_CONFIG, UNKNOWN_FEATURE, TieraError, code_for
+from repro.core.errors import TieraError, code_for
 from repro.core.instance import TieraInstance
 from repro.core.objects import ObjectMeta, content_checksum
 from repro.simcloud.errors import SimCloudError
@@ -37,8 +37,9 @@ class TieraServer:
     Single-object verbs return :class:`~repro.core.api.OpResult`
     envelopes; batch verbs run their items across ``parallelism``
     concurrent lanes in virtual time and return a
-    :class:`~repro.core.api.BatchResult`.  Heat and placement are
-    switched on through the management verbs (:meth:`configure`).
+    :class:`~repro.core.api.BatchResult`.  Features (heat, placement,
+    backups, ...) are managed through :meth:`configure`,
+    :meth:`feature_status` and :meth:`invoke`.
     """
 
     def __init__(
@@ -492,109 +493,21 @@ class TieraServer:
 
     # -- unified management API ---------------------------------------------
 
-    #: Features the management verbs accept, in registration order.
-    FEATURES: Tuple[str, ...] = ("heat", "placement")
-
     def configure(self, feature: str, **options) -> ManagementResult:
-        """Enable or retune ``feature`` (the :class:`ManagementAPI` verb).
-
-        Errors come back captured in the envelope, never raised: an
-        unrecognized ``feature`` yields ``UNKNOWN_FEATURE``, options the
-        feature refuses yield ``BAD_CONFIG``.  On success the envelope
-        carries the feature's post-configure status.
-        """
-        if feature not in self.FEATURES:
-            return self._unknown_feature(feature, "configure")
-        try:
-            if feature == "heat":
-                self.instance.enable_heat(**options)
-            else:
-                self.instance.enable_placement(**options)
-        except (TypeError, ValueError) as exc:
-            return ManagementResult(
-                feature=feature,
-                action="configure",
-                ok=False,
-                enabled=self._feature_enabled(feature),
-                error=BAD_CONFIG,
-                error_message=str(exc),
-            )
-        return self._feature_envelope(feature, "configure")
+        """Switch ``feature`` on or retune it (see
+        :mod:`repro.core.features`); refusals come back in the
+        envelope (``UNKNOWN_FEATURE``, ``BAD_CONFIG``), never raised.
+        On success the envelope carries the feature's status."""
+        return features.configure(self, feature, **options)
 
     def feature_status(self, feature: str) -> ManagementResult:
-        """Inspect ``feature`` (the :class:`ManagementAPI` verb)."""
-        if feature not in self.FEATURES:
-            return self._unknown_feature(feature, "status")
-        return self._feature_envelope(feature, "status")
+        """Whether ``feature`` is on, and its status document."""
+        return features.feature_status(self, feature)
 
-    def _unknown_feature(self, feature: str, action: str) -> ManagementResult:
-        return ManagementResult(
-            feature=feature,
-            action=action,
-            ok=False,
-            error=UNKNOWN_FEATURE,
-            error_message=(
-                f"unknown manageable feature {feature!r}; known: "
-                + ", ".join(self.FEATURES)
-            ),
-        )
-
-    def _feature_enabled(self, feature: str) -> bool:
-        if feature == "heat":
-            return self.obs.heat.enabled
-        return self.instance.placement is not None
-
-    def _feature_envelope(self, feature: str, action: str) -> ManagementResult:
-        enabled = self._feature_enabled(feature)
-        state: Dict[str, object] = {}
-        if enabled:
-            if feature == "heat":
-                tracker = self.obs.heat
-                state = {
-                    "config": {
-                        "windows": [float(w) for w in tracker.windows],
-                        "top_k": tracker.top_k,
-                        "max_objects": tracker.max_objects,
-                        "sample_interval": tracker.sample_interval,
-                        "hot_min": tracker.hot_min,
-                    },
-                    "tracked_objects": len(tracker._objects),
-                }
-            else:
-                state = self.instance.placement.status()
-        return ManagementResult(
-            feature=feature, action=action, enabled=enabled, state=state,
-        )
-
-    # -- workload heat -----------------------------------------------------
-
-    def heat_summary(self, limit: Optional[int] = None) -> Dict[str, object]:
-        """The heat tracker's snapshot (``{"enabled": False}`` until on)."""
-        return self.obs.heat.summary(limit=limit)
-
-    # -- adaptive placement -------------------------------------------------
-
-    def placement_status(self) -> Dict[str, object]:
-        """The placement engine's state (``{"enabled": False}`` until on)."""
-        engine = self.instance.placement
-        if engine is None:
-            return {"enabled": False}
-        return engine.status()
-
-    def placement_plan(self) -> Dict[str, object]:
-        """Score candidates and return the decision list without moving
-        anything (``{"enabled": False}`` until the engine is on)."""
-        engine = self.instance.placement
-        if engine is None:
-            return {"enabled": False}
-        return engine.plan()
-
-    def placement_run(self) -> Dict[str, object]:
-        """Execute one placement cycle now, outside the timer cadence."""
-        engine = self.instance.placement
-        if engine is None:
-            return {"enabled": False}
-        return engine.run_cycle(self._ctx(None), origin="manual")
+    def invoke(self, feature: str, action: str, **params) -> ManagementResult:
+        """Run one of ``feature``'s named actions; a failure comes back
+        in the envelope with its stable code and exception."""
+        return features.invoke(self, feature, action, **params)
 
     def last_trace(self):
         """The most recently completed request trace (or ``None``)."""

@@ -18,7 +18,7 @@ import bisect
 import hashlib
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core import api
+from repro.core import api, features
 from repro.core.api import (
     AdmissionController,
     BatchOp,
@@ -365,8 +365,9 @@ class ShardedTieraServer:
             out["cluster"] = summary
             if any(state != "up" for state in summary["shards"].values()):
                 out["status"] = "degraded"
-        heat = self.heat_summary()
-        if heat.get("enabled"):
+        heat = self.invoke("heat", "summary")
+        if heat.enabled:
+            heat = heat.state
             out["heat"] = {
                 "accesses": heat["accesses"]["total"],
                 "tracked": heat["tracked_objects"],
@@ -379,87 +380,55 @@ class ShardedTieraServer:
     # -- unified management API ----------------------------------------------
 
     def configure(self, feature: str, **options) -> ManagementResult:
-        """Fan ``configure`` out to every shard (the ManagementAPI verb).
-
-        With one shard the envelope is returned unchanged, so the parity
-        suite can byte-compare it against the direct façade.  With
-        several, the router aggregates: ``ok``/``enabled`` are the
-        conjunction, ``state`` nests per-shard states, and the first
-        error (in shard order) surfaces as the envelope's error.
-        """
-        return self._aggregate_management([
-            (name, self.shards[name].configure(feature, **options))
-            for name in sorted(self.shards)
-        ])
+        return self._manage("configure", feature, **options)
 
     def feature_status(self, feature: str) -> ManagementResult:
-        """Fan ``feature_status`` out to every shard and aggregate."""
+        return self._manage("feature_status", feature)
+
+    def invoke(self, feature: str, action: str, **params) -> ManagementResult:
+        return self._manage("invoke", feature, action, **params)
+
+    def _manage(self, verb: str, feature: str, *args, **kwargs):
+        """Fan a management verb out to every shard and aggregate.
+
+        With one shard the envelope is returned unchanged, so the parity
+        suite can compare it with the direct façade's.  With several,
+        ``ok``/``enabled`` are the conjunction, ``state`` nests the
+        per-shard states, and the first error (in shard order)
+        surfaces; heat actions merge the shards' summaries instead.
+        Features the router holds itself (the cluster) are answered
+        here, not per shard.
+        """
+        row = features.FEATURES.get(feature)
+        if row is not None and row.router:
+            return getattr(features, verb)(self, feature, *args, **kwargs)
         return self._aggregate_management([
-            (name, self.shards[name].feature_status(feature))
+            (name, getattr(self.shards[name], verb)(feature, *args, **kwargs))
             for name in sorted(self.shards)
-        ])
+        ], merge=row.merge if row is not None and verb == "invoke" else None)
 
     @staticmethod
     def _aggregate_management(
-        results: Sequence[Tuple[str, ManagementResult]]
+        results: Sequence[Tuple[str, ManagementResult]], merge=None,
     ) -> ManagementResult:
         if len(results) == 1:
             return results[0][1]
-        first = results[0][1]
         failed = next((r for _, r in results if not r.ok), None)
+        if merge is not None and failed is None:
+            return merge([r for _, r in results])
+        first = results[0][1]
         return ManagementResult(
             feature=first.feature,
             action=first.action,
-            ok=all(r.ok for _, r in results),
+            ok=failed is None,
             enabled=all(r.enabled for _, r in results),
             state={"shards": {name: r.state for name, r in results}},
             error=failed.error if failed is not None else None,
             error_message=(
                 failed.error_message if failed is not None else None
             ),
+            exception=failed.exception if failed is not None else None,
         )
-
-    # -- adaptive placement --------------------------------------------------
-
-    def _per_shard(self, verb: str) -> Dict[str, object]:
-        """Single-shard identity, multi-shard ``{"shards": {...}}`` nest."""
-        results = {
-            name: getattr(self.shards[name], verb)()
-            for name in sorted(self.shards)
-        }
-        if len(results) == 1:
-            return next(iter(results.values()))
-        return {
-            "enabled": any(r.get("enabled", True) for r in results.values()),
-            "shards": results,
-        }
-
-    def placement_status(self) -> Dict[str, object]:
-        return self._per_shard("placement_status")
-
-    def placement_plan(self) -> Dict[str, object]:
-        return self._per_shard("placement_plan")
-
-    def placement_run(self) -> Dict[str, object]:
-        return self._per_shard("placement_run")
-
-    # -- workload heat -------------------------------------------------------
-
-    def heat_summary(self, limit: Optional[int] = None) -> Dict[str, object]:
-        """Cluster-wide heat view: per-shard trackers aggregated.
-
-        Keys route to exactly one shard, so per-shard hot lists merge
-        disjointly (union → re-rank → truncate) while tier traffic and
-        occupancy sum; see :func:`repro.obs.heat.merge_summaries`.
-        With one shard the snapshot is byte-identical to the direct
-        facade's (the parity suite pins this).
-        """
-        from repro.obs.heat import merge_summaries
-
-        return merge_summaries([
-            self.shards[name].heat_summary(limit=limit)
-            for name in sorted(self.shards)
-        ])
 
     # -- elasticity ---------------------------------------------------------
 

@@ -185,47 +185,8 @@ class TieraClient:
             return result["text"]
         return result
 
-    def trace(
-        self, limit: int = 10, enable: Optional[bool] = None
-    ) -> Dict[str, Any]:
-        """Recent request traces; ``enable`` toggles tracing first."""
-        params: Dict[str, Any] = {"limit": limit}
-        if enable is not None:
-            params["enable"] = enable
-        return self._call("trace", **params)
-
     def health(self) -> Dict[str, Any]:
         return self._call("health")
-
-    def profile(self, reset: bool = False) -> Dict[str, Any]:
-        """The server's accumulated wall/virtual profile report.
-
-        ``reset=True`` clears the server's wall-section tree after the
-        report, starting a fresh profiling window."""
-        return self._call("profile", reset=reset)
-
-    def slo(
-        self,
-        install_defaults: bool = False,
-        objectives: Optional[List[Dict[str, Any]]] = None,
-    ) -> Dict[str, Any]:
-        """The SLO engine's summary; optionally install objectives first."""
-        params: Dict[str, Any] = {}
-        if install_defaults:
-            params["install_defaults"] = True
-        if objectives:
-            params["objectives"] = objectives
-        return self._call("slo", **params)
-
-    def heat(self, limit: Optional[int] = None) -> Dict[str, Any]:
-        """The heat tracker's snapshot; ``limit`` caps the hot list.
-
-        Returns ``{"enabled": False}`` until the tracker is switched on
-        with ``configure("heat", ...)``."""
-        params: Dict[str, Any] = {}
-        if limit is not None:
-            params["limit"] = limit
-        return self._call("heat", **params)
 
     # -- unified management API -------------------------------------------
 
@@ -244,20 +205,24 @@ class TieraClient:
         doc = self._call("feature_status", feature=feature)
         return api.ManagementResult.from_wire(doc)
 
-    # -- adaptive placement -------------------------------------------------
+    def invoke(
+        self, feature: str, action: str, **params
+    ) -> "api.ManagementResult":
+        """Run one of ``feature``'s named actions on the server.
 
-    def placement(self, action: str = "status") -> Dict[str, Any]:
-        """Placement introspection: ``status`` (default), ``plan``
-        (score candidates without moving data), or ``run`` (execute one
-        cycle now).  Returns ``{"enabled": False}`` until the engine is
-        configured on."""
-        return self._call("placement", action=action)
+        A failure comes back in the envelope with its stable code, and
+        carries an :class:`RpcError` so ``raise_for_error`` raises it."""
+        doc = self._call("invoke", feature=feature, action=action, params=params)
+        result = api.ManagementResult.from_wire(doc)
+        if not result.ok:
+            result.exception = RpcError(
+                doc.get("error_type") or "Error",
+                result.error_message or "",
+                code=result.error or "INTERNAL",
+            )
+        return result
 
-    # -- durability -------------------------------------------------------
-
-    def fsck(self, repair: bool = False) -> Dict[str, Any]:
-        """Run the metadata/tier cross-check scrub on the server."""
-        return self._call("fsck", repair=repair)
+    # -- state archives ----------------------------------------------------
 
     def snapshot(self, include_volatile: bool = False) -> Dict[str, Any]:
         """Pull a full snapshot of the server's state.
@@ -272,37 +237,3 @@ class TieraClient:
     def restore(self, archive: bytes) -> Dict[str, Any]:
         """Replace the server's state with a snapshot archive's."""
         return self._call("restore", archive=encode_bytes(archive))
-
-    def backup(self, action: str = "status", **params) -> Dict[str, Any]:
-        """Drive the server's backup lifecycle.
-
-        ``action`` is ``snapshot`` / ``restore`` / ``prune`` /
-        ``verify`` / ``list`` / ``mark_immutable`` / ``status``;
-        remaining keyword arguments pass through (``kind=``,
-        ``to_seq=``, ``keep_last=``, ``snapshot_id=``, …).  Returns
-        ``{"enabled": False}`` when the instance has no backup store
-        attached (pass ``enable=True, root="…"`` to attach one)."""
-        return self._call("backup", action=action, **params)
-
-    def cluster(self, action: str = "status", **params) -> Dict[str, Any]:
-        """Drive the replicated shard cluster, when the server is one.
-
-        ``action`` is ``status`` / ``fsck`` / ``replay`` /
-        ``anti_entropy``; remaining keyword arguments pass through
-        (``repair=``, ``target=``).  Returns ``{"enabled": False}``
-        against a single instance or a replication-off router."""
-        return self._call("cluster", action=action, **params)
-
-    def resilience(
-        self, enable: Optional[bool] = None, replay: bool = False
-    ) -> Dict[str, Any]:
-        """The resilience layer's summary (breakers, retries, repairs).
-
-        ``enable=True`` turns the layer on first; ``replay=True`` kicks
-        a repair-queue replay for reachable tiers."""
-        params: Dict[str, Any] = {}
-        if enable:
-            params["enable"] = True
-        if replay:
-            params["replay"] = True
-        return self._call("resilience", **params)

@@ -202,7 +202,7 @@ class TieraRpcServer:
     def _method_ping(self, params: Dict[str, Any]) -> str:
         return "pong"
 
-    # -- introspection verbs (STATS / TRACE / HEALTH) -----------------------
+    # -- introspection verbs (STATS / HEALTH) ---------------------------------
 
     def _method_stats(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Observability snapshot: JSON by default, Prometheus text on
@@ -214,92 +214,8 @@ class TieraRpcServer:
             return {"format": "prometheus", "text": render_prometheus(obs.metrics)}
         return stats_snapshot(obs, audit_limit=int(params.get("audit_limit", 50)))
 
-    def _method_trace(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Inspect (and optionally toggle) per-request tracing."""
-        tracer = self.tiera.obs.tracer
-        if "enable" in params:
-            tracer.enabled = bool(params["enable"])
-        limit = int(params.get("limit", 10))
-        return {
-            "enabled": tracer.enabled,
-            "dropped": tracer.dropped,
-            "traces": [span.to_dict() for span in tracer.recent(limit)],
-        }
-
     def _method_health(self, params: Dict[str, Any]) -> Dict[str, Any]:
         return self.tiera.health()
-
-    def _method_profile(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """The server's accumulated profile: wall-clock sections from
-        served requests, virtual-time attribution from the registry,
-        and a per-component rollup of retained traces.
-
-        ``reset=true`` clears the wall-section tree after reporting, so
-        the next call profiles a fresh window.
-        """
-        from repro.obs.profiler import trace_breakdown, virtual_breakdown
-
-        obs = self.tiera.obs
-        wall = obs.profiler.wall_report()
-        report = {
-            "measured_wall_seconds": wall["total_seconds"],
-            "coverage": 1.0,
-            "wall": wall,
-            "virtual": virtual_breakdown(None, obs.metrics.snapshot()),
-            "traces": trace_breakdown(obs.tracer.recent()),
-        }
-        if params.get("reset"):
-            obs.profiler.reset()
-        return report
-
-    def _method_slo(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Inspect (and optionally configure) the SLO engine.
-
-        ``install_defaults=true`` installs the canned objectives when
-        none are present; ``objectives=[{...}]`` installs explicit ones
-        (fields of :class:`~repro.obs.slo.SloObjective`).
-        """
-        from repro.obs.slo import SloObjective, default_slos
-
-        engine = self.tiera.obs.slo
-        if params.get("install_defaults") and not engine.objectives:
-            engine.install(default_slos())
-        for spec in params.get("objectives") or []:
-            engine.install([SloObjective(**spec)])
-        if not engine.objectives:
-            return {"objectives": [], "breaching": [], "alerting": []}
-        return engine.summary()
-
-    def _method_resilience(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Inspect (and optionally enable / kick) the resilience layer.
-
-        ``enable=true`` turns the layer on; ``replay=true`` kicks a
-        repair-queue replay for every tier that looks reachable.
-        """
-        instance = self.tiera.instance
-        if params.get("enable"):
-            instance.enable_resilience()
-        res = instance.resilience
-        if res is None:
-            return {"enabled": False}
-        out: Dict[str, Any] = {"enabled": True}
-        if params.get("replay"):
-            out["replay_kicked"] = res.replay_pending()
-        out.update(res.summary())
-        return out
-
-    def _method_heat(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Inspect heat telemetry; ``limit`` caps the hot list.
-
-        Read-only: the tracker is switched on and tuned through
-        ``configure("heat", ...)``.  Works against both a single
-        instance and a shard router (per-shard aggregation); answers
-        ``{"enabled": False}`` until enabled.
-        """
-        limit = params.get("limit")
-        return self.tiera.heat_summary(
-            limit=int(limit) if limit is not None else None
-        )
 
     # -- unified management API ---------------------------------------------
 
@@ -316,26 +232,14 @@ class TieraRpcServer:
     def _method_feature_status(self, params: Dict[str, Any]) -> Dict[str, Any]:
         return self.tiera.feature_status(params["feature"]).to_wire()
 
-    def _method_placement(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Placement introspection: ``action`` is ``status`` (default),
-        ``plan`` (score without moving), or ``run`` (one cycle now)."""
-        action = params.get("action", "status")
-        if action == "status":
-            return self.tiera.placement_status()
-        if action == "plan":
-            return self.tiera.placement_plan()
-        if action == "run":
-            return self.tiera.placement_run()
-        raise ValueError(f"unknown placement action {action!r}")
+    def _method_invoke(self, params: Dict[str, Any]) -> Dict[str, Any]:
+        """Run a feature's named action; like ``configure``, failures
+        ride inside the envelope with their stable code."""
+        return self.tiera.invoke(
+            params["feature"], params["action"], **(params.get("params") or {})
+        ).to_wire()
 
-    # -- durability verbs (FSCK / SNAPSHOT / RESTORE) -----------------------
-
-    def _method_fsck(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Cross-check metadata against tier contents; ``repair=true``
-        fixes what it finds (see :func:`repro.core.durability.fsck`)."""
-        from repro.core.durability import fsck
-
-        return fsck(self.tiera.instance, repair=bool(params.get("repair")))
+    # -- state archives (SNAPSHOT / RESTORE) ----------------------------------
 
     def _method_snapshot(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """A barman-style full snapshot: deterministic tar archive of
@@ -355,95 +259,6 @@ class TieraRpcServer:
         return restore_archive(
             self.tiera.instance, decode_bytes(params["archive"])
         )
-
-    def _method_backup(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Backup lifecycle verbs, dispatched on ``action``:
-        ``snapshot`` / ``restore`` / ``prune`` / ``verify`` / ``list`` /
-        ``mark_immutable`` / ``status``.  Requires backups enabled on
-        the instance (``enable=true`` with a ``root`` attaches one)."""
-        instance = self.tiera.instance
-        if params.get("enable") and instance.backup is None:
-            instance.enable_backups(str(params["root"]))
-        manager = instance.backup
-        if manager is None:
-            return {"enabled": False}
-        action = str(params.get("action", "status"))
-        if action == "snapshot":
-            entry = manager.snapshot(
-                kind=str(params.get("kind", "auto")),
-                immutable=bool(params.get("immutable")),
-            )
-            return {"enabled": True, "snapshot": entry}
-        if action == "restore":
-            to_seq = params.get("to_seq")
-            to_time = params.get("to_time")
-            snapshot_id = params.get("snapshot_id")
-            return {
-                "enabled": True,
-                "restore": manager.restore(
-                    to_seq=int(to_seq) if to_seq is not None else None,
-                    to_time=(
-                        float(to_time) if to_time is not None else None
-                    ),
-                    snapshot_id=(
-                        int(snapshot_id) if snapshot_id is not None else None
-                    ),
-                ),
-            }
-        if action == "prune":
-            keep_last = params.get("keep_last")
-            keep_window = params.get("keep_window")
-            return {
-                "enabled": True,
-                "prune": manager.prune(
-                    keep_last=(
-                        int(keep_last) if keep_last is not None else None
-                    ),
-                    keep_window=(
-                        float(keep_window) if keep_window is not None
-                        else None
-                    ),
-                ),
-            }
-        if action == "verify":
-            return {"enabled": True, "verify": manager.verify_restore()}
-        if action == "list":
-            return {"enabled": True, "snapshots": manager.list_snapshots()}
-        if action == "mark_immutable":
-            return {
-                "enabled": True,
-                "snapshot": manager.mark_immutable(
-                    int(params["snapshot_id"])
-                ),
-            }
-        if action == "status":
-            return {"enabled": True, "status": manager.health_summary()}
-        raise ValueError(f"unknown backup action {action!r}")
-
-    def _method_cluster(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Replicated-cluster verbs, dispatched on ``action``:
-        ``status`` / ``fsck`` / ``replay`` / ``anti_entropy``.  Answers
-        ``{"enabled": False}`` when the server is not a replicated shard
-        router (single instances and replication-off routers)."""
-        manager = getattr(self.tiera, "cluster", None)
-        if manager is None:
-            return {"enabled": False}
-        action = str(params.get("action", "status"))
-        if action == "status":
-            return {"enabled": True, "status": manager.summary()}
-        if action == "fsck":
-            return {
-                "enabled": True,
-                "fsck": manager.fsck(repair=bool(params.get("repair"))),
-            }
-        if action == "replay":
-            return {
-                "enabled": True,
-                "replay": manager.replay_hints(params.get("target")),
-            }
-        if action == "anti_entropy":
-            return {"enabled": True, "anti_entropy": manager.anti_entropy()}
-        raise ValueError(f"unknown cluster action {action!r}")
 
     def _method_tiers(self, params: Dict[str, Any]) -> list:
         return [

@@ -10,8 +10,14 @@ captured in-process exception and its RPC-rehydrated twin compare equal.
 
 import pytest
 
-from repro.core.api import BatchOp, BatchResult, ManagementAPI, StorageAPI
-from repro.core.errors import BackpressureError, NoSuchObjectError
+from repro.core.api import (
+    BatchOp,
+    BatchResult,
+    ManagementAPI,
+    ManagementResult,
+    StorageAPI,
+)
+from repro.core.errors import BackpressureError, NoSuchObjectError, code_for
 from repro.core.events import ActionEvent
 from repro.core.policy import Rule
 from repro.core.responses import Store
@@ -186,34 +192,35 @@ class TestHeatParity:
         facade.delete_object("beta")
 
     def test_summaries_identical_across_facades(self, direct, sharded, rpc_client):
-        for facade in (direct, sharded, rpc_client):
-            facade.configure("heat", **self.HEAT_CONFIG).raise_for_error()
         summaries = []
         for facade in (direct, sharded, rpc_client):
+            facade.configure("heat", **self.HEAT_CONFIG).raise_for_error()
             self._drive(facade)
-            if facade is rpc_client:
-                summaries.append(facade.heat())
-            else:
-                summaries.append(facade.heat_summary())
+            summaries.append(facade.invoke("heat", "summary"))
         assert summaries[0] == summaries[1]
         assert summaries[0] == summaries[2]
-        assert summaries[0]["enabled"] is True
-        assert summaries[0]["hot_keys"][0] == "alpha"
+        assert summaries[0].enabled is True
+        assert summaries[0].state["hot_keys"][0] == "alpha"
 
     def test_disabled_snapshot_parity(self, direct, sharded, rpc_client):
-        assert direct.heat_summary() == {"enabled": False}
-        assert sharded.heat_summary() == {"enabled": False}
-        assert rpc_client.heat() == {"enabled": False}
+        for facade in (direct, sharded, rpc_client):
+            summary = facade.invoke("heat", "summary")
+            assert (summary.ok, summary.enabled, summary.state) == (
+                True, False, {}
+            )
 
-    def test_limit_truncates_hot_list_everywhere(self, direct, rpc_client):
-        for facade in (direct, rpc_client):
+    def test_limit_truncates_hot_list_everywhere(
+        self, direct, sharded, rpc_client
+    ):
+        summaries = []
+        for facade in (direct, sharded, rpc_client):
             facade.configure("heat", **self.HEAT_CONFIG).raise_for_error()
-        for facade in (direct, rpc_client):
             for key in ("a", "b", "c"):
                 for _ in range(3):
                     facade.put_object(key, b"x" * 64)
-        assert direct.heat_summary(limit=1) == rpc_client.heat(limit=1)
-        assert len(direct.heat_summary(limit=1)["hot"]) == 1
+            summaries.append(facade.invoke("heat", "summary", limit=1))
+        assert summaries[0] == summaries[1] == summaries[2]
+        assert len(summaries[0].state["hot"]) == 1
 
 
 class TestManagementParity:
@@ -277,40 +284,88 @@ class TestManagementParity:
         for facade in (direct, sharded, rpc_client):
             facade.configure("placement", interval=30.0).raise_for_error()
             facade.put_object("k", b"v" * 128)
-        docs = [
-            direct.placement_plan(),
-            sharded.placement_plan(),
-            rpc_client.placement("plan"),
-        ]
-        assert docs[0] == docs[1] == docs[2]
-        statuses = [
-            direct.placement_status(),
-            sharded.placement_status(),
-            rpc_client.placement("status"),
-        ]
-        assert statuses[0] == statuses[1] == statuses[2]
-        assert statuses[0]["running"] is True
+        for action in ("status", "plan", "run", "status"):
+            docs = [
+                facade.invoke("placement", action)
+                for facade in (direct, sharded, rpc_client)
+            ]
+            assert docs[0] == docs[1] == docs[2], action
+            assert docs[0].ok and docs[0].enabled
+        assert docs[0].state["running"] is True
+        assert docs[0].state["cycles"] == 1
 
     def test_placement_disabled_shape_parity(self, direct, sharded, rpc_client):
+        for action in ("status", "plan", "run"):
+            docs = [
+                facade.invoke("placement", action)
+                for facade in (direct, sharded, rpc_client)
+            ]
+            assert docs == [ManagementResult("placement", action)] * 3
+
+    def test_cluster_on_a_non_cluster_is_disabled(
+        self, direct, sharded, rpc_client
+    ):
         docs = [
-            direct.placement_status(),
-            sharded.placement_status(),
-            rpc_client.placement("status"),
+            facade.invoke("cluster", "status")
+            for facade in (direct, sharded, rpc_client)
         ]
-        assert docs == [{"enabled": False}] * 3
+        assert docs == [ManagementResult("cluster", "status")] * 3
+
+    def test_unknown_feature_invoke_parity(self, direct, sharded, rpc_client):
+        results = [
+            facade.invoke("wormhole", "status")
+            for facade in (direct, sharded, rpc_client)
+        ]
+        assert results[0] == results[1] == results[2]
+        assert results[0].error == "UNKNOWN_FEATURE"
+
+    def test_unknown_action_parity(self, direct, sharded, rpc_client):
+        results = [
+            facade.invoke("placement", "explode")
+            for facade in (direct, sharded, rpc_client)
+        ]
+        assert results[0] == results[1] == results[2]
+        assert not results[0].ok
+        assert results[0].error == "BAD_REQUEST"
+
+    def test_failed_action_raises_per_facade_exception(
+        self, direct, sharded, rpc_client
+    ):
+        for facade, exc_type in (
+            (direct, ValueError),
+            (sharded, ValueError),
+            (rpc_client, RpcError),
+        ):
+            facade.configure("heat").raise_for_error()
+            with pytest.raises(exc_type) as err:
+                facade.invoke("heat", "summary", limit="many").raise_for_error()
+            assert code_for(err.value) == "BAD_REQUEST"
 
 
 class TestRemovedSurface:
-    """One verb per job: the positional ``put``/``get``/``delete`` shims
-    and ``enable_heat`` are gone from every façade (docs/API.md maps
-    each to its envelope or ``configure`` replacement)."""
+    """One verb per job: the positional ``put``/``get``/``delete`` shims,
+    ``enable_heat`` and the per-feature verbs are gone from every façade
+    (docs/API.md maps each to its envelope, ``configure`` or ``invoke``
+    replacement)."""
 
-    REMOVED = ("put", "get", "delete", "get_with_context", "enable_heat")
+    REMOVED = (
+        "put", "get", "delete", "get_with_context", "enable_heat",
+        "heat_summary", "placement_status", "placement_plan",
+        "placement_run", "_per_shard", "FEATURES",
+        "_feature_enabled", "_feature_envelope",
+        "heat", "placement", "slo", "profile", "resilience", "fsck",
+        "backup", "trace",
+    )
 
     def test_no_facade_carries_a_removed_verb(self, direct, sharded, rpc_client):
         for facade in (direct, sharded, rpc_client):
             present = [name for name in self.REMOVED if hasattr(facade, name)]
             assert present == [], type(facade).__name__
+
+    def test_client_has_no_cluster_verb(self, rpc_client):
+        # The shard router keeps its ``cluster`` manager attribute; the
+        # client's ``cluster(action)`` wrapper is what was removed.
+        assert not hasattr(rpc_client, "cluster")
 
 
 class TestShardRouterTagPropagation:

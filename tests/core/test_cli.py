@@ -149,7 +149,7 @@ class TestStatsSummary:
         from repro.rpc import TieraClient
 
         with TieraClient(live_rpc.host, live_rpc.port) as conn:
-            conn.slo(install_defaults=True)
+            conn.configure("slo", install_defaults=True).raise_for_error()
         assert main([
             "stats", "--port", str(live_rpc.port), "--format", "summary",
         ]) == 0
@@ -355,7 +355,7 @@ class TestBackupSummary:
         from repro.rpc import TieraClient
 
         with TieraClient(live_rpc.host, live_rpc.port) as conn:
-            conn.backup(enable=True, root=str(tmp_path / "bk"))
+            conn.configure("backup", root=str(tmp_path / "bk"))
         return live_rpc
 
     def _summary(self, rpc, capsys):
@@ -373,7 +373,7 @@ class TestBackupSummary:
         from repro.rpc import TieraClient
 
         with TieraClient(backed_rpc.host, backed_rpc.port) as conn:
-            conn.backup(action="snapshot", kind="full")
+            conn.invoke("backup", "snapshot", kind="full")
         out = self._summary(backed_rpc, capsys)
         lines = [ln for ln in out.splitlines() if ln.startswith("  backup: ")]
         assert len(lines) == 1
@@ -385,8 +385,9 @@ class TestBackupSummary:
         from repro.rpc import TieraClient
 
         with TieraClient(backed_rpc.host, backed_rpc.port) as conn:
-            conn.backup(action="snapshot", kind="full")
-            assert conn.backup(action="verify")["verify"]["ok"] is True
+            conn.invoke("backup", "snapshot", kind="full")
+            assert conn.invoke("backup", "verify").state["verify"][
+                "ok"] is True
         out = self._summary(backed_rpc, capsys)
         lines = [
             ln for ln in out.splitlines()

@@ -337,9 +337,11 @@ class TestManagementEnvelopes:
 
     def test_placement_verbs_before_enable(self, registry):
         server = TieraServer(cold_instance(registry))
-        assert server.placement_status() == {"enabled": False}
-        assert server.placement_plan() == {"enabled": False}
-        assert server.placement_run() == {"enabled": False}
+        for action in ("status", "plan", "run"):
+            result = server.invoke("placement", action)
+            assert (result.ok, result.enabled, result.state) == (
+                True, False, {}
+            )
 
     def test_health_reports_placement(self, registry):
         server = TieraServer(cold_instance(registry))

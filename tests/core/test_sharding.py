@@ -192,3 +192,52 @@ class TestShardedServer:
         assert set(health["shards"]) == set(sharded.shards)
         for entry in health["shards"].values():
             assert entry["status"] == "ok"
+
+
+class TestShardedManagement:
+    """Several shards: ``invoke`` nests per-shard answers, except heat,
+    whose summaries merge into one cluster view."""
+
+    def test_actions_nest_per_shard(self, sharded):
+        off = sharded.invoke("placement", "status")
+        assert off.ok and not off.enabled
+        assert off.state == {"shards": {"a": {}, "b": {}, "c": {}}}
+        sharded.configure("placement", interval=30.0).raise_for_error()
+        on = sharded.invoke("placement", "status")
+        assert on.enabled
+        assert {s["interval"] for s in on.state["shards"].values()} == {30.0}
+
+    def test_heat_summaries_merge(self):
+        from repro.simcloud.cluster import Cluster
+        from repro.tiers.registry import TierRegistry
+
+        # one cluster (and so one heat tracker) per shard
+        router = ShardedTieraServer({
+            name: make_shard(TierRegistry(Cluster(seed=seed)), name)
+            for seed, name in enumerate(("a", "b"))
+        })
+        router.configure("heat", hot_min=1).raise_for_error()
+        for i in range(30):
+            router.put_object(f"k{i}", b"v" * 64).raise_for_error()
+        parts = [
+            shard.invoke("heat", "summary").state["accesses"]["writes"]
+            for shard in router.shards.values()
+        ]
+        assert 0 < min(parts) and sum(parts) == 30
+        merged = router.invoke("heat", "summary")
+        assert merged.enabled and "shards" not in merged.state
+        assert merged.state["accesses"]["writes"] == 30
+        assert router.health()["heat"]["accesses"] == 30
+
+    def test_a_failing_shard_surfaces_its_code_and_exception(self, sharded):
+        sharded.configure("heat").raise_for_error()
+        result = sharded.invoke("heat", "summary", limit="many")
+        assert result.error == "BAD_REQUEST"
+        with pytest.raises(ValueError):
+            result.raise_for_error()
+
+    def test_cluster_is_answered_by_the_router(self, sharded):
+        # replication off: the router holds no ClusterManager
+        status = sharded.feature_status("cluster")
+        assert status.ok and not status.enabled
+        assert sharded.configure("cluster").error == "BAD_CONFIG"

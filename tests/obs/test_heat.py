@@ -382,7 +382,10 @@ class TestServerHeatSurface:
             [("tier1", "Memcached", 64 * 1024), ("tier2", "EBS", 10 ** 7)],
         )
         server = TieraServer(inst)
-        assert server.heat_summary() == {"enabled": False}
+        disabled = server.invoke("heat", "summary")
+        assert (disabled.ok, disabled.enabled, disabled.state) == (
+            True, False, {}
+        )
         assert "heat" not in server.health()
         server.configure("heat", hot_min=2).raise_for_error()
         server.put_object("k", b"x" * 128).raise_for_error()
@@ -391,6 +394,6 @@ class TestServerHeatSurface:
         health = server.health()
         assert health["heat"]["accesses"] == 4
         assert health["heat"]["hot_keys"] == ["k"]
-        summary = server.heat_summary()
-        assert summary["enabled"] and summary["hot_keys"] == ["k"]
-        assert "tier1" in summary["tiers"]
+        summary = server.invoke("heat", "summary")
+        assert summary.enabled and summary.state["hot_keys"] == ["k"]
+        assert "tier1" in summary.state["tiers"]

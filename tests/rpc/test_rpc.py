@@ -129,17 +129,40 @@ class TestRpcRoundtrip:
         assert "result" not in response
         assert response["error"]["code"] == "UNKNOWN_METHOD"
 
+    @pytest.mark.parametrize("method", [
+        "heat", "placement", "slo", "profile", "resilience", "fsck",
+        "backup", "cluster", "trace",
+    ])
+    def test_per_feature_frames_are_unknown_methods(self, live_server, method):
+        """Features are managed through configure / feature_status /
+        invoke only: the old per-feature wire methods are gone."""
+        with socket.create_connection(
+            (live_server.host, live_server.port), timeout=5.0
+        ) as sock:
+            write_frame(sock, {"id": 1, "method": method, "params": {}})
+            response = read_frame(sock)
+        assert "result" not in response
+        assert response["error"]["code"] == "UNKNOWN_METHOD"
+
+
+def disabled(envelope) -> bool:
+    """The envelope of an action on a feature that is off."""
+    return envelope.ok and not envelope.enabled and envelope.state == {}
+
 
 class TestHeatVerb:
     def test_misspelled_option_is_refused_and_tracker_stays_off(self, client):
         envelope = client.configure("heat", topk=4)
         assert envelope.error == "BAD_CONFIG"
-        assert client.heat() == {"enabled": False}
+        assert disabled(client.invoke("heat", "summary"))
 
     def test_heat_verb_is_read_only(self, client):
-        assert client._call("heat", enable=True, top_k=4) == {"enabled": False}
+        refused = client.invoke("heat", "summary", enable=True, top_k=4)
+        assert refused.error == "BAD_REQUEST"
+        assert disabled(client.invoke("heat", "summary"))
         client.configure("heat", top_k=4).raise_for_error()
-        assert client.heat(limit=1)["config"]["top_k"] == 4
+        summary = client.invoke("heat", "summary", limit=1)
+        assert summary.state["config"]["top_k"] == 4
 
 
 class TestIntrospection:
@@ -159,15 +182,16 @@ class TestIntrospection:
         assert 'tiera_requests_total{op="put"} 1' in text
 
     def test_trace_toggle_and_fetch(self, client):
-        result = client.trace(enable=True)
-        assert result["enabled"] is True
+        result = client.configure("trace", enable=True)
+        assert result.enabled is True
         client.put_object("k", b"v").raise_for_error()
         client.get_object("k").raise_for_error()
-        result = client.trace(limit=5, enable=False)
-        assert result["enabled"] is False
-        ops = [t["attrs"]["op"] for t in result["traces"]]
+        client.configure("trace", enable=False).raise_for_error()
+        result = client.invoke("trace", "recent", limit=5)
+        assert result.enabled is False
+        ops = [t["attrs"]["op"] for t in result.state["traces"]]
         assert ops == ["put", "get"]
-        get_trace = result["traces"][-1]
+        get_trace = result.state["traces"][-1]
         assert get_trace["attrs"]["served_by"] in ("tier1", "tier2")
 
     def test_health(self, client):
@@ -247,13 +271,13 @@ class TestConcurrency:
 class TestDurabilityVerbs:
     def test_fsck_clean_over_rpc(self, client):
         client.put_object("k", b"bytes").raise_for_error()
-        report = client.fsck()
+        report = client.invoke("durability", "fsck").state
         assert report["clean"] is True
         assert report["counts"]["findings"] == 0
 
     def test_fsck_repair_flag_round_trips(self, client):
         client.put_object("k", b"bytes").raise_for_error()
-        report = client.fsck(repair=True)
+        report = client.invoke("durability", "fsck", repair=True).state
         assert report["repair"] is True
 
     def test_snapshot_restore_roundtrip(self, client):
@@ -302,55 +326,60 @@ class TestDurabilityVerbs:
 
 class TestBackupVerbs:
     def test_disabled_store_reports_disabled(self, client):
-        assert client.backup() == {"enabled": False}
+        assert disabled(client.invoke("backup", "status"))
 
     def test_lifecycle_round_trip(self, client, tmp_path):
         client.put_object("obj0", b"v0" * 64).raise_for_error()
-        status = client.backup(enable=True, root=str(tmp_path / "bk"))
-        assert status["enabled"] is True
+        status = client.configure("backup", root=str(tmp_path / "bk"))
+        assert status.enabled is True
 
-        full = client.backup(action="snapshot", kind="full")["snapshot"]
+        full = client.invoke("backup", "snapshot", kind="full").state[
+            "snapshot"]
         assert full["kind"] == "full"
         client.put_object("obj1", b"v1" * 64).raise_for_error()
-        inc = client.backup(action="snapshot")["snapshot"]
+        inc = client.invoke("backup", "snapshot").state["snapshot"]
         assert inc["kind"] == "incremental"
         assert inc["parent"] == full["id"]
 
-        listing = client.backup(action="list")["snapshots"]
+        listing = client.invoke("backup", "list").state["snapshots"]
         assert [e["id"] for e in listing] == [full["id"], inc["id"]]
 
-        verify = client.backup(action="verify")["verify"]
+        verify = client.invoke("backup", "verify").state["verify"]
         assert verify["ok"] is True
 
-        frozen = client.backup(
-            action="mark_immutable", snapshot_id=full["id"]
-        )["snapshot"]
+        frozen = client.invoke(
+            "backup", "mark_immutable", snapshot_id=full["id"]
+        ).state["snapshot"]
         assert frozen["immutable"] is True
         # keep_last=1 cannot orphan the chain: nothing is pruned.
-        assert client.backup(action="prune", keep_last=1)["prune"][
+        assert client.invoke("backup", "prune", keep_last=1).state["prune"][
             "pruned"
         ] == []
 
-        status = client.backup()["status"]
+        status = client.invoke("backup", "status").state["status"]
         assert status["snapshots"] == 2
         assert status["last_verified_restore"]["ok"] is True
 
     def test_restore_to_seq_over_rpc(self, client, tmp_path):
-        client.backup(enable=True, root=str(tmp_path / "bk"))
+        client.configure("backup", root=str(tmp_path / "bk"))
         client.put_object("k", b"v1" * 64).raise_for_error()
-        client.backup(action="snapshot", kind="full")
+        client.invoke("backup", "snapshot", kind="full")
         client.put_object("k", b"v2" * 64).raise_for_error()
-        target = client.backup()["status"]["wal"]["last_seq"]
+        target = client.invoke("backup", "status").state["status"]["wal"][
+            "last_seq"]
         client.put_object("k", b"v3" * 64).raise_for_error()
-        restore = client.backup(action="restore", to_seq=target)["restore"]
+        restore = client.invoke("backup", "restore", to_seq=target).state[
+            "restore"]
         assert restore["to_seq"] == target
         assert restore["replayed"] > 0
         assert client.get_object("k").raise_for_error().value == b"v2" * 64
 
     def test_backup_errors_have_a_stable_code(self, client, tmp_path):
-        client.backup(enable=True, root=str(tmp_path / "bk"))
+        client.configure("backup", root=str(tmp_path / "bk"))
+        result = client.invoke("backup", "restore", to_seq=10 ** 9)
+        assert result.error == "BACKUP_ERROR"
         with pytest.raises(RpcError) as excinfo:
-            client.backup(action="restore", to_seq=10 ** 9)
+            result.raise_for_error()
         assert excinfo.value.code == "BACKUP_ERROR"
 
     def test_cli_backup_commands(self, live_server, capsys, tmp_path):
@@ -363,7 +392,7 @@ class TestBackupVerbs:
 
         with TieraClient(live_server.host, live_server.port) as conn:
             conn.put_object("cli-obj", b"cli bytes").raise_for_error()
-            conn.backup(enable=True, root=str(tmp_path / "bk"))
+            conn.configure("backup", root=str(tmp_path / "bk"))
 
         assert main([
             "backup", "snapshot", "--port", port, "--kind", "full",
@@ -393,7 +422,7 @@ class TestClusterVerb:
         router.cluster.stop()
 
     def test_not_a_cluster_answers_disabled(self, client):
-        assert client.cluster() == {"enabled": False}
+        assert disabled(client.invoke("cluster", "status"))
 
     def test_status_fsck_replay_and_anti_entropy(self, cluster_rpc):
         rpc, router = cluster_rpc
@@ -401,22 +430,25 @@ class TestClusterVerb:
             conn.put_object("ck", b"cluster bytes").raise_for_error()
             assert conn.get_object("ck").raise_for_error().value == b"cluster bytes"
 
-            status = conn.cluster()["status"]
+            status = conn.invoke("cluster", "status").state["status"]
             assert status["replicas"] == 2
             assert set(status["shards"]) == set(router.shards)
             assert all(s == "up" for s in status["shards"].values())
 
-            assert conn.cluster("fsck")["fsck"]["clean"]
-            assert conn.cluster("replay")["replay"]["replayed"] == 0
-            assert conn.cluster("anti_entropy")["anti_entropy"][
-                "divergent"] == 0
+            assert conn.invoke("cluster", "fsck").state["fsck"]["clean"]
+            assert conn.invoke("cluster", "replay").state["replay"][
+                "replayed"] == 0
+            assert conn.invoke("cluster", "anti_entropy").state[
+                "anti_entropy"]["divergent"] == 0
             assert conn.health()["cluster"]["hints"]["pending"] == 0
 
     def test_unknown_action_is_a_bad_request(self, cluster_rpc):
         rpc, _ = cluster_rpc
         with TieraClient(rpc.host, rpc.port) as conn:
+            result = conn.invoke("cluster", "explode")
+            assert result.error == "BAD_REQUEST"
             with pytest.raises(RpcError) as excinfo:
-                conn.cluster("explode")
+                result.raise_for_error()
             assert excinfo.value.code == "BAD_REQUEST"
 
     def test_instance_only_verbs_fail_cleanly_on_a_router(self, cluster_rpc):

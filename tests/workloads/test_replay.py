@@ -1,5 +1,10 @@
 """Trace recording and replay."""
 
+import hashlib
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.server import TieraServer
@@ -148,3 +153,38 @@ class TestPipelinedReplay:
         _, target = self._target()
         with pytest.raises(ValueError):
             TraceReplayer(target, self._events()).run(depth=0)
+
+
+class TestStablePayloads:
+    """A replayed put's payload is a pure function of the event: it
+    must not change with the process's string-hash salt."""
+
+    SCRIPT = (
+        "import hashlib\n"
+        "from repro.workloads.replay import TraceReplayer\n"
+        "for key in ('k0', 'user000042', 'a/b/c'):\n"
+        "    op = TraceReplayer._op_for({'op': 'put', 'key': key, 'size': 256})\n"
+        "    print(key, hashlib.sha256(op.data).hexdigest())\n"
+    )
+
+    def _digests(self, hash_seed: str) -> str:
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(src)]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        return subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+
+    def test_payload_is_independent_of_the_hash_seed(self):
+        first = self._digests("1")
+        assert first.count("\n") == 3
+        assert first == self._digests("2")
+
+    def test_payload_matches_in_process(self):
+        op = TraceReplayer._op_for({"op": "put", "key": "k0", "size": 256})
+        digest = hashlib.sha256(op.data).hexdigest()
+        assert f"k0 {digest}" in self._digests("3")
