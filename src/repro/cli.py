@@ -219,7 +219,7 @@ def cmd_stats(options) -> int:
                 print(f"  slo {objective['name']}: {flag} "
                       f"(current {objective['current']}, "
                       f"burn {objective['burn_rate']:.2f}x)")
-        _print_heat_headline(health.get("heat"))
+        _print_heat_summary(health.get("heat"))
         _print_backup_summary(health.get("backup"))
         print(f"  background errors: {health['background_errors']} "
               f"(audit: {health['audit_errors']})")
@@ -231,7 +231,7 @@ def cmd_stats(options) -> int:
     return 0
 
 
-def _print_heat_headline(heat: Optional[Dict[str, object]]) -> None:
+def _print_heat_summary(heat: Optional[Dict[str, object]]) -> None:
     """Workload-heat headline lines for the stats summary.
 
     The output shape is pinned by tests/core/test_cli.py — a ``heat:``
@@ -303,7 +303,7 @@ def cmd_profile(options) -> int:
     from repro.bench.telemetry import profile_scenario, render_profile
 
     if options.port is not None:
-        envelope = _manage(options, "profile", "report", reset=options.reset)
+        envelope = _manage(options, "profile", "status", reset=options.reset)
         if envelope is None:
             return 1
         report = envelope.state
@@ -565,13 +565,13 @@ def cmd_placement(options) -> int:
     if options.format == "json":
         print(json.dumps(result, indent=2, sort_keys=True))
     elif options.placement_action == "status":
-        _print_engine_status(result)
+        _print_placement_status(result)
     else:
-        _print_engine_plan(result)
+        _print_placement_plan(result)
     return 0 if result.get("enabled") else 1
 
 
-def _print_engine_status(status: Dict[str, object]) -> None:
+def _print_placement_status(status: Dict[str, object]) -> None:
     if not status.get("enabled"):
         print("placement: disabled (repro placement --enable, or "
               'configure("placement", ...))')
@@ -589,7 +589,7 @@ def _print_engine_status(status: Dict[str, object]) -> None:
               f"({last['origin']}), {last['skipped']} skipped")
 
 
-def _print_engine_plan(plan: Dict[str, object]) -> None:
+def _print_placement_plan(plan: Dict[str, object]) -> None:
     if not plan.get("enabled"):
         print("placement: disabled")
         return

@@ -1,25 +1,29 @@
 """The one table of manageable features behind the management verbs.
 
-``configure(feature, **options)`` switches a feature on or retunes it,
-``feature_status(feature)`` says whether it is on (with its status
-document), and ``invoke(feature, action, **params)`` runs a named
-action.  All three return a :class:`~repro.core.api.ManagementResult`
-and capture failures: ``UNKNOWN_FEATURE``, ``BAD_CONFIG``,
-``BAD_REQUEST`` (unknown action or parameter), or a failing action's
-own code.  ``enabled`` lives on the envelope and is stripped from every
-``state``.  Row functions take the answering façade: a
-:class:`~repro.core.server.TieraServer`, or the shard router itself for
-``router`` rows.
+``configure(feature, **options)`` switches a feature on or retunes it
+and ``invoke(feature, action, **params)`` runs a named action.  Every
+row has a ``status`` action; ``feature_status(feature)`` is
+``invoke(feature, "status")``, and a successful ``configure`` answers
+with the same document.  All three return a
+:class:`~repro.core.api.ManagementResult` and capture failures:
+``UNKNOWN_FEATURE``, ``BAD_CONFIG``, ``BAD_REQUEST`` (unknown action or
+parameter), or a failing action's own code.  ``enabled`` lives on the
+envelope and is stripped from every ``state``.  Row functions take the
+answering façade: a :class:`~repro.core.server.TieraServer`, or the
+shard router itself for ``router`` rows.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.api import ManagementResult
-from repro.core.errors import BAD_CONFIG, TieraError, UnknownFeatureError, code_for
+from repro.core.errors import (
+    BAD_CONFIG, BAD_REQUEST, TieraError, UnknownFeatureError, code_for,
+)
 from repro.simcloud.errors import SimCloudError
 from repro.simcloud.resources import RequestContext
 
@@ -37,10 +41,9 @@ class Feature:
     name: str
     #: whether the feature is on
     enabled: Callable[[Any], bool]
-    #: its status document, read only while it is on
-    status: Callable[[Any], Doc]
-    #: named actions: ``fn(server, **params) -> document``
-    actions: Dict[str, Callable[..., Doc]] = field(default_factory=dict)
+    #: named actions, ``status`` among them:
+    #: ``fn(server, **params) -> document``
+    actions: Dict[str, Callable[..., Doc]]
     #: ``fn(server, **options)``; None when ``configure`` cannot switch
     #: the feature on
     configure: Optional[Callable[..., None]] = None
@@ -48,8 +51,11 @@ class Feature:
     gated: bool = True
     #: a shard router answers it itself instead of fanning out
     router: bool = False
-    #: merges per-shard action envelopes on a multi-shard router
-    merge: Optional[Callable[[List[ManagementResult]], ManagementResult]] = None
+    #: it belongs to one instance (shards would share its store), so a
+    #: shard router refuses it
+    per_instance: bool = False
+    #: merges per-shard envelopes of an action on a multi-shard router
+    merge: Dict[str, Callable[..., ManagementResult]] = field(default_factory=dict)
 
 
 def _opt(cast, value):
@@ -102,6 +108,11 @@ def _backup_restore(server, to_seq=None, to_time=None, snapshot_id=None) -> Doc:
     )}
 
 
+def _durability_status(server) -> Doc:
+    layer = server.instance.durability
+    return layer.summary() if layer is not None else {}
+
+
 def _fsck(server, repair=False) -> Doc:
     """Cross-check metadata against tier contents; ``repair`` fixes what
     it finds (see :func:`repro.core.durability.fsck`)."""
@@ -125,13 +136,13 @@ def _slo_configure(server, install_defaults=False, objectives=None) -> None:
     engine.install(new)
 
 
-def _slo_summary(server) -> Doc:
+def _slo_status(server) -> Doc:
     if not server.obs.slo.objectives:
         return {"objectives": [], "breaching": [], "alerting": []}
     return server.obs.slo.summary()
 
 
-def _profile_report(server, reset=False) -> Doc:
+def _profile_status(server, reset=False) -> Doc:
     """Wall-clock sections of served requests, virtual-time attribution
     from the registry, and a per-component rollup of retained traces;
     ``reset`` then clears the wall tree."""
@@ -163,16 +174,17 @@ FEATURES: Dict[str, Feature] = {row.name: row for row in (
     Feature(
         "heat",
         enabled=lambda s: s.obs.heat.enabled,
-        status=_heat_status,
-        actions={"summary": lambda s, limit=None: s.obs.heat.summary(
-            limit=_opt(int, limit))},
+        actions={
+            "status": _heat_status,
+            "summary": lambda s, limit=None: s.obs.heat.summary(
+                limit=_opt(int, limit)),
+        },
         configure=lambda s, **options: s.instance.enable_heat(**options),
-        merge=_merge_heat,
+        merge={"summary": _merge_heat},
     ),
     Feature(
         "placement",
         enabled=lambda s: s.instance.placement is not None,
-        status=lambda s: s.instance.placement.status(),
         actions={
             "status": lambda s: s.instance.placement.status(),
             "plan": lambda s: s.instance.placement.plan(),
@@ -184,7 +196,6 @@ FEATURES: Dict[str, Feature] = {row.name: row for row in (
     Feature(
         "resilience",
         enabled=lambda s: s.instance.resilience is not None,
-        status=lambda s: s.instance.resilience.summary(),
         actions={
             "status": lambda s: s.instance.resilience.summary(),
             # kick a repair-queue replay for every reachable tier
@@ -198,7 +209,6 @@ FEATURES: Dict[str, Feature] = {row.name: row for row in (
     Feature(
         "backup",
         enabled=lambda s: s.instance.backup is not None,
-        status=lambda s: s.instance.backup.health_summary(),
         actions={
             "status": lambda s: {"status": s.instance.backup.health_summary()},
             "snapshot": lambda s, kind="auto", immutable=False: {
@@ -215,44 +225,46 @@ FEATURES: Dict[str, Feature] = {row.name: row for row in (
                 "snapshot": s.instance.backup.mark_immutable(int(snapshot_id))},
         },
         configure=_backup_configure,
+        per_instance=True,
     ),
     Feature(
         "durability",
         enabled=lambda s: s.instance.durability is not None,
-        status=lambda s: s.instance.durability.summary(),
-        actions={"fsck": _fsck},
+        actions={"status": _durability_status, "fsck": _fsck},
         gated=False,
     ),
     Feature(
         "slo",
         enabled=lambda s: bool(s.obs.slo.objectives),
-        status=_slo_summary,
-        actions={"summary": _slo_summary},
+        actions={"status": _slo_status},
         configure=_slo_configure,
         gated=False,
+        router=True,
     ),
     Feature(
         "profile",
         enabled=lambda s: s.obs.profiler.enabled,
-        status=_profile_report,
-        actions={"report": _profile_report},
+        actions={"status": _profile_status},
         gated=False,
+        router=True,
     ),
     Feature(
         "trace",
         enabled=lambda s: s.obs.tracer.enabled,
-        status=lambda s: {"dropped": s.obs.tracer.dropped},
-        actions={"recent": lambda s, limit=10: {
-            "dropped": s.obs.tracer.dropped,
-            "traces": [t.to_dict() for t in s.obs.tracer.recent(int(limit))],
-        }},
+        actions={
+            "status": lambda s: {"dropped": s.obs.tracer.dropped},
+            "recent": lambda s, limit=10: {
+                "dropped": s.obs.tracer.dropped,
+                "traces": [t.to_dict() for t in s.obs.tracer.recent(int(limit))],
+            },
+        },
         configure=_set_tracing,
         gated=False,
+        router=True,
     ),
     Feature(
         "cluster",
         enabled=lambda s: _cluster(s) is not None,
-        status=lambda s: _cluster(s).summary(),
         actions={
             "status": lambda s: {"status": _cluster(s).summary()},
             "fsck": lambda s, repair=False: {
@@ -274,12 +286,11 @@ def _unknown_feature(feature: str, action: str) -> ManagementResult:
     )
 
 
-def _status(server, row: Feature, action: str) -> ManagementResult:
-    enabled = row.enabled(server)
-    return ManagementResult(
-        row.name, action, enabled=enabled,
-        state=_state(row.status(server)) if enabled else {},
-    )
+def not_on_router(feature: str, action: str) -> ManagementResult:
+    """A shard router's answer for a ``per_instance`` feature."""
+    exc = ValueError(f"{feature} belongs to one instance; a shard router refuses it")
+    return ManagementResult(feature, action, ok=False, error=BAD_REQUEST,
+                            error_message=str(exc), exception=exc)
 
 
 def configure(server, feature: str, **options) -> ManagementResult:
@@ -297,15 +308,14 @@ def configure(server, feature: str, **options) -> ManagementResult:
             feature, "configure", ok=False, enabled=row.enabled(server),
             error=BAD_CONFIG, error_message=str(exc),
         )
-    return _status(server, row, "configure")
+    return dataclasses.replace(
+        invoke(server, feature, "status"), action="configure"
+    )
 
 
 def feature_status(server, feature: str) -> ManagementResult:
     """Whether ``feature`` is on, and its status document."""
-    row = FEATURES.get(feature)
-    if row is None:
-        return _unknown_feature(feature, "status")
-    return _status(server, row, "status")
+    return invoke(server, feature, "status")
 
 
 def invoke(server, feature: str, action: str, **params) -> ManagementResult:

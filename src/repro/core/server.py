@@ -495,9 +495,7 @@ class TieraServer:
 
     def configure(self, feature: str, **options) -> ManagementResult:
         """Switch ``feature`` on or retune it (see
-        :mod:`repro.core.features`); refusals come back in the
-        envelope (``UNKNOWN_FEATURE``, ``BAD_CONFIG``), never raised.
-        On success the envelope carries the feature's status."""
+        :mod:`repro.core.features`); answers with its status."""
         return features.configure(self, feature, **options)
 
     def feature_status(self, feature: str) -> ManagementResult:

@@ -383,7 +383,7 @@ class ShardedTieraServer:
         return self._manage("configure", feature, **options)
 
     def feature_status(self, feature: str) -> ManagementResult:
-        return self._manage("feature_status", feature)
+        return self.invoke(feature, "status")
 
     def invoke(self, feature: str, action: str, **params) -> ManagementResult:
         return self._manage("invoke", feature, action, **params)
@@ -395,17 +395,21 @@ class ShardedTieraServer:
         suite can compare it with the direct façade's.  With several,
         ``ok``/``enabled`` are the conjunction, ``state`` nests the
         per-shard states, and the first error (in shard order)
-        surfaces; heat actions merge the shards' summaries instead.
-        Features the router holds itself (the cluster) are answered
-        here, not per shard.
+        surfaces; heat summaries merge instead.  Features the router
+        holds itself (the cluster, and the router's own observability
+        hub for trace/slo/profile) are answered here, not per shard;
+        per-instance ones (backup) are refused.
         """
         row = features.FEATURES.get(feature)
+        action = args[0] if args else verb
         if row is not None and row.router:
             return getattr(features, verb)(self, feature, *args, **kwargs)
+        if row is not None and row.per_instance:
+            return features.not_on_router(feature, action)
         return self._aggregate_management([
             (name, getattr(self.shards[name], verb)(feature, *args, **kwargs))
             for name in sorted(self.shards)
-        ], merge=row.merge if row is not None and verb == "invoke" else None)
+        ], merge=row.merge.get(action) if row is not None else None)
 
     @staticmethod
     def _aggregate_management(

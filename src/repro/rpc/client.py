@@ -191,33 +191,30 @@ class TieraClient:
     # -- unified management API -------------------------------------------
 
     def configure(self, feature: str, **options) -> "api.ManagementResult":
-        """Enable or retune ``feature`` (the :class:`ManagementAPI` verb).
-
-        The rehydrated :class:`~repro.core.api.ManagementResult`
-        compares equal to the direct façade's — errors (stable codes
-        ``UNKNOWN_FEATURE``, ``BAD_CONFIG``) come back captured in the
-        envelope, never raised."""
-        doc = self._call("configure", feature=feature, options=options)
-        return api.ManagementResult.from_wire(doc)
+        """Enable or retune ``feature`` (the :class:`ManagementAPI` verb)."""
+        return self._envelope("configure", feature=feature, options=options)
 
     def feature_status(self, feature: str) -> "api.ManagementResult":
         """Inspect ``feature`` (the :class:`ManagementAPI` verb)."""
-        doc = self._call("feature_status", feature=feature)
-        return api.ManagementResult.from_wire(doc)
+        return self._envelope("feature_status", feature=feature)
 
     def invoke(
         self, feature: str, action: str, **params
     ) -> "api.ManagementResult":
-        """Run one of ``feature``'s named actions on the server.
+        """Run one of ``feature``'s named actions on the server."""
+        return self._envelope(
+            "invoke", feature=feature, action=action, params=params
+        )
 
-        A failure comes back in the envelope with its stable code, and
-        carries an :class:`RpcError` so ``raise_for_error`` raises it."""
-        doc = self._call("invoke", feature=feature, action=action, params=params)
+    def _envelope(self, method: str, **params) -> "api.ManagementResult":
+        """The envelope, equal to the direct façade's.  A failure the
+        server captured from an exception carries an :class:`RpcError`
+        with its code for ``raise_for_error``."""
+        doc = self._call(method, **params)
         result = api.ManagementResult.from_wire(doc)
-        if not result.ok:
+        if not result.ok and "error_type" in doc:
             result.exception = RpcError(
-                doc.get("error_type") or "Error",
-                result.error_message or "",
+                doc["error_type"], result.error_message or "",
                 code=result.error or "INTERNAL",
             )
         return result

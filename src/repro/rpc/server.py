@@ -220,12 +220,9 @@ class TieraRpcServer:
     # -- unified management API ---------------------------------------------
 
     def _method_configure(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Enable or retune a feature; see :class:`ManagementAPI`.
-
-        Error codes (``UNKNOWN_FEATURE``, ``BAD_CONFIG``) ride inside
-        the envelope, never as RPC-level errors, so the rehydrated
-        result compares equal to the direct façade's.
-        """
+        """The management verbs: failures ride inside the envelope, never
+        as RPC-level errors, so the rehydrated result equals the direct
+        façade's."""
         options = params.get("options") or {}
         return self.tiera.configure(params["feature"], **options).to_wire()
 
@@ -233,8 +230,6 @@ class TieraRpcServer:
         return self.tiera.feature_status(params["feature"]).to_wire()
 
     def _method_invoke(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Run a feature's named action; like ``configure``, failures
-        ride inside the envelope with their stable code."""
         return self.tiera.invoke(
             params["feature"], params["action"], **(params.get("params") or {})
         ).to_wire()

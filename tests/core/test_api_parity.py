@@ -17,7 +17,10 @@ from repro.core.api import (
     ManagementResult,
     StorageAPI,
 )
-from repro.core.errors import BackpressureError, NoSuchObjectError, code_for
+from repro.core.errors import (
+    BackpressureError, NoSuchObjectError, UnknownFeatureError, code_for,
+)
+from repro.core.features import FEATURES
 from repro.core.events import ActionEvent
 from repro.core.policy import Rule
 from repro.core.responses import Store
@@ -318,6 +321,19 @@ class TestManagementParity:
         ]
         assert results[0] == results[1] == results[2]
         assert results[0].error == "UNKNOWN_FEATURE"
+        for result in results:
+            with pytest.raises(UnknownFeatureError):
+                result.raise_for_error()
+
+    def test_feature_status_is_the_status_action(
+        self, direct, sharded, rpc_client
+    ):
+        # one read per feature: feature_status(f) == invoke(f, "status")
+        direct.configure("placement").raise_for_error()
+        for facade in (direct, sharded, rpc_client):
+            for feature in FEATURES:
+                assert (facade.feature_status(feature)
+                        == facade.invoke(feature, "status")), feature
 
     def test_unknown_action_parity(self, direct, sharded, rpc_client):
         results = [

@@ -236,6 +236,25 @@ class TestShardedManagement:
         with pytest.raises(ValueError):
             result.raise_for_error()
 
+    def test_backup_is_refused_with_several_shards(self, sharded, tmp_path):
+        # the shards would share one catalog and WAL under one root
+        configured = sharded.configure("backup", root=str(tmp_path / "bk"))
+        assert configured.error == "BAD_REQUEST"
+        with pytest.raises(ValueError):
+            configured.raise_for_error()
+        assert sharded.invoke("backup", "list").error == "BAD_REQUEST"
+        assert sharded.feature_status("backup").error == "BAD_REQUEST"
+        assert all(s.instance.backup is None for s in sharded.shards.values())
+        assert not (tmp_path / "bk").exists()
+
+    def test_observability_features_use_the_router_hub(self, sharded):
+        sharded.configure("slo", install_defaults=True).raise_for_error()
+        assert len(sharded.obs.slo.objectives) == 4
+        status = sharded.feature_status("slo")
+        assert status.enabled and "shards" not in status.state
+        assert sharded.configure("trace", enable=True).enabled
+        assert sharded.obs.tracer.enabled
+
     def test_cluster_is_answered_by_the_router(self, sharded):
         # replication off: the router holds no ClusterManager
         status = sharded.feature_status("cluster")

@@ -457,3 +457,51 @@ class TestClusterVerb:
             with pytest.raises(RpcError) as excinfo:
                 conn.tiers()
             assert excinfo.value.code == "BAD_REQUEST"
+
+    def test_backup_is_refused_on_a_router(self, cluster_rpc, tmp_path):
+        rpc, router = cluster_rpc
+        root = tmp_path / "bk"
+        with TieraClient(rpc.host, rpc.port) as conn:
+            answers = [
+                conn.configure("backup", root=str(root)),
+                conn.feature_status("backup"),
+                conn.invoke("backup", "snapshot", kind="full"),
+                conn.invoke("backup", "restore", to_seq=1),
+            ]
+        for result in answers:
+            assert not result.ok and result.error == "BAD_REQUEST"
+            with pytest.raises(RpcError) as excinfo:
+                result.raise_for_error()
+            assert excinfo.value.code == "BAD_REQUEST"
+        assert all(s.instance.backup is None for s in router.shards.values())
+        assert not root.exists()
+
+    def test_slo_trace_and_profile_use_the_router_hub(self, cluster_rpc):
+        rpc, router = cluster_rpc
+        objective = {"name": "get_avail", "op": "get",
+                     "kind": "availability", "target": 0.99}
+        with TieraClient(rpc.host, rpc.port) as conn:
+            configured = conn.configure("slo", objectives=[objective])
+            assert configured.ok and configured.enabled
+            assert [o.name for o in router.obs.slo.objectives] == ["get_avail"]
+            assert [o["name"] for o in configured.state["objectives"]] == [
+                "get_avail"]
+            # a duplicate name is refused and installs nothing
+            refused = conn.configure(
+                "slo", install_defaults=True, objectives=[objective])
+            assert refused.error == "BAD_CONFIG"
+            assert [o.name for o in router.obs.slo.objectives] == ["get_avail"]
+
+            assert conn.configure("trace", enable=True).enabled
+            assert router.obs.tracer.enabled
+            conn.put_many([(f"t{i}", b"x") for i in range(3)]).raise_for_error()
+            recent = conn.invoke("trace", "recent", limit=50).state["traces"]
+            assert recent == [
+                t.to_dict() for t in router.obs.tracer.recent(50)]
+            assert len(recent) == 1 and recent[0]["attrs"]["op"] == "batch"
+            assert not conn.configure("trace", enable=False).enabled
+            assert not router.obs.tracer.enabled
+
+            profile = conn.invoke("profile", "status")
+            assert profile.ok and "shards" not in profile.state
+            assert profile.state["wall"]["total_seconds"] >= 0.0
